@@ -1,9 +1,10 @@
 """Content-addressed disk cache for Betti tables.
 
 Keys are SHA-256 hashes of the canonical serialization of (generators,
-characteristic), so a hit can only ever replay the exact same computation.
-Entries are written atomically (temp file + rename) and validated on read;
-anything corrupt is evicted and recomputed.
+characteristic, oracle version), so a hit can only ever replay the exact same
+computation.  Entries are written atomically (temp file + rename) and
+validated on read; anything corrupt, or stored by another oracle version, is
+evicted and recomputed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ import tempfile
 from pathlib import Path
 
 from .monomials import MonomialIdeal
-from .oracle import DEFAULT_LATTICE_CAP, BettiTable, FieldSpec, betti_table
+from .oracle import (
+    DEFAULT_LATTICE_CAP,
+    ORACLE_VERSION,
+    BettiTable,
+    FieldSpec,
+    betti_table,
+)
 
 __all__ = ["CACHE_ENV_VAR", "DEFAULT_CACHE_DIR", "BettiCache", "betti_cache_key",
            "cached_betti_table", "resolve_cache_dir"]
@@ -38,11 +45,12 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
 
 
 def betti_cache_key(ideal: MonomialIdeal, characteristic: int) -> str:
-    """SHA-256 over the canonical JSON of the generators and the field."""
+    """SHA-256 over the canonical JSON of the generators, field and oracle."""
     payload = {
         "ambient": ideal.ambient,
         "char": characteristic,
         "generators": [list(g.exponents) for g in ideal.generators],
+        "oracle_version": ORACLE_VERSION,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -71,9 +79,14 @@ class BettiCache:
             data = json.loads(raw)
             if data.get("key") != key:
                 raise ValueError("stored key mismatch")
+            if data.get("oracle_version") != ORACLE_VERSION:
+                raise ValueError(
+                    f"oracle version {data.get('oracle_version')!r}, "
+                    f"not {ORACLE_VERSION}"
+                )
             table = BettiTable.from_dict(data["table"])
         except (ValueError, KeyError, TypeError) as exc:
-            log.warning("evicting corrupt cache entry %s (%s)", path, exc)
+            log.warning("evicting cache entry %s (%s)", path, exc)
             try:
                 path.unlink()
             except OSError:
@@ -87,7 +100,8 @@ class BettiCache:
         if self._write_failed:
             return
         payload = json.dumps(
-            {"key": key, "table": table.to_dict()},
+            {"key": key, "oracle_version": ORACLE_VERSION,
+             "table": table.to_dict()},
             sort_keys=True,
             separators=(",", ":"),
         )

@@ -5,7 +5,9 @@ equals the dimension of the (i-1)-st reduced homology of the upper Koszul
 complex K^b(I), whose faces are the squarefree subsets sigma of supp(b) with
 x^b / x^sigma in I.  Only multidegrees in the lcm lattice of the generators
 can contribute, so the oracle closes the generator set under pairwise lcms
-and runs simplicial homology at every lattice point.
+and computes homology at every lattice point.  K^b is built from its facets,
+one per generator dividing x^b; homology is taken relative to the closed star
+of one vertex, a cone, which leaves few cells or none.
 
 Everything here is exact: GF(2) ranks use integer bitsets, odd primes use
 dense modular Gaussian elimination.  Rational homology is out of scope.
@@ -26,6 +28,7 @@ from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
     "DEFAULT_LATTICE_CAP",
+    "ORACLE_VERSION",
     "FieldSpec",
     "GF2",
     "SimplicialComplexFaces",
@@ -46,8 +49,20 @@ log = logging.getLogger(__name__)
 # Hard cap on the number of distinct multidegrees visited per ideal.
 DEFAULT_LATTICE_CAP = 200_000
 
+# Version of the oracle's answers; cached tables from another version are
+# recomputed.
+ORACLE_VERSION = 2
+
+# Exclusive bound on the field characteristic.
+_MAX_CHARACTERISTIC = 1 << 31
+
 # Largest support size for which the 2^k face enumeration is attempted.
 _MAX_SUPPORT = 24
+
+# Byte budget for the scratch arrays of one chunk.  Lattice and facet
+# chunks take _CHUNK_BYTES // (q * n * 8) multidegrees, a batch of face
+# indicators _CHUNK_BYTES >> k.
+_CHUNK_BYTES = 1 << 24
 
 
 def _is_prime(p: int) -> bool:
@@ -61,11 +76,20 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A finite prime field GF(p), the coefficient field for homology."""
+    """A finite prime field GF(p), the coefficient field for homology.
+
+    p must be below 2^31, so that gfp_rank's int64 products (p-1)^2 cannot
+    overflow.
+    """
 
     characteristic: int = 2
 
     def __post_init__(self):
+        if self.characteristic >= _MAX_CHARACTERISTIC:
+            raise ValueError(
+                f"characteristic {self.characteristic} is too large: "
+                f"GF(p) arithmetic needs p < 2^31"
+            )
         if not _is_prime(self.characteristic):
             raise ValueError(f"characteristic {self.characteristic} is not prime")
 
@@ -94,7 +118,9 @@ def gf2_rank(rows: Iterable[int]) -> int:
 
 
 def gfp_rank(mat: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by row-echelon Gaussian elimination."""
+    """Rank over GF(p), p < 2^31, by row-echelon Gaussian elimination."""
+    if p >= _MAX_CHARACTERISTIC:
+        raise ValueError(f"GF({p}) arithmetic needs p < 2^31")
     m = np.mod(np.asarray(mat, dtype=np.int64), p)
     nrows, ncols = m.shape
     r = 0
@@ -190,118 +216,146 @@ class SimplicialComplexFaces:
 # homology core (bitmask faces)
 # ---------------------------------------------------------------------------
 
-def _homology_dims_from_masks(
-    face_masks: list[int], p: int
-) -> dict[int, int]:
-    """Reduced homology dimensions {d: dim H~_d} of a complex over GF(p).
+def _homology_dims(cells: list[int], p: int) -> dict[int, int]:
+    """Homology dimensions {d: dim H_d} over GF(p) of a chain complex of cells.
 
-    Faces arrive as vertex bitmasks, the empty face included; the result
-    covers every dimension from -1 up to the top face dimension.
+    cells are the vertex bitmasks of K minus a subcomplex L; a cell
+    with d + 1 vertices has dimension d, and the boundary drops the faces in
+    L, as relative chains do.  With L empty and the empty face present this
+    is the reduced homology of K.  Every dimension that has cells is covered.
     """
-    if not face_masks:
-        return {}
     groups: dict[int, list[int]] = {}
-    for m in sorted(face_masks):
-        groups.setdefault(bin(m).count("1") - 1, []).append(m)
-    top = max(groups)
-    index = {d: {m: i for i, m in enumerate(ms)} for d, ms in groups.items()}
+    for m in cells:
+        groups.setdefault(m.bit_count() - 1, []).append(m)
     rank: dict[int, int] = {}
-    for d in range(0, top + 1):
-        here = groups.get(d, [])
-        below = index.get(d - 1, {})
-        if not here or not below:
-            rank[d] = 0
+    for d, here in groups.items():
+        if d - 1 not in groups:
             continue
+        index = {m: i for i, m in enumerate(groups[d - 1])}
+        # Row r is the boundary of here[r]; the face dropping the j-th
+        # lowest vertex has sign (-1)^j.
+        mat = np.zeros((len(here), len(index)), dtype=np.int64)
+        for r, m in enumerate(here):
+            rest, sign = m, 1
+            while rest:
+                low = rest & -rest
+                i = index.get(m ^ low)
+                if i is not None:
+                    mat[r, i] = sign
+                rest ^= low
+                sign = p - sign
         if p == 2:
-            rows = []
-            for m in here:
-                bits = 0
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    bits |= 1 << below[m ^ low]
-                    mm ^= low
-                rows.append(bits)
-            rank[d] = gf2_rank(rows)
+            packed = np.packbits(mat.astype(bool), axis=1, bitorder="little")
+            rank[d] = gf2_rank([int.from_bytes(row, "little") for row in packed])
         else:
-            mat = np.zeros((len(below), len(here)), dtype=np.int64)
-            for col, m in enumerate(here):
-                mm = m
-                j = 0
-                while mm:
-                    low = mm & -mm
-                    mat[below[m ^ low], col] = 1 if j % 2 == 0 else p - 1
-                    mm ^= low
-                    j += 1
             rank[d] = gfp_rank(mat, p)
-    out: dict[int, int] = {}
-    for d in range(-1, top + 1):
-        c = len(groups.get(d, []))
-        out[d] = c - rank.get(d, 0) - rank.get(d + 1, 0)
-    return out
+    return {
+        d: len(here) - rank.get(d, 0) - rank.get(d + 1, 0)
+        for d, here in groups.items()
+    }
 
 
-_subset_masks_cache: dict[int, np.ndarray] = {}
+def _facet_masks(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """Facets of the upper Koszul complexes K^b, one row per multidegree b.
 
-
-def _subset_masks(k: int) -> np.ndarray:
-    """(2^k, k) 0/1 array; row m is the indicator of the bits of m."""
-    if k not in _subset_masks_cache:
-        idx = np.arange(1 << k, dtype=np.int64)
-        _subset_masks_cache[k] = ((idx[:, None] >> np.arange(k)) & 1).astype(
-            np.int64
-        )
-    return _subset_masks_cache[k]
-
-
-def _face_mask_list(E: np.ndarray, bs: np.ndarray) -> list[int]:
-    """Bitmasks of the upper Koszul faces over the support positions.
-
-    E holds the support columns of the eligible generators, bs the support
-    exponents of the multidegree.  Face m means x^b / x^sigma lies in the
-    ideal, where sigma collects the support positions in m.
+    K^b is generated by one facet per generator g dividing x^b, the support
+    positions j with g_j < b_j.  Entry (b, g) is that facet as a bitmask
+    over the support of b, bit i standing for its i-th position, or -1 when
+    g does not divide x^b.
     """
-    q, k = E.shape
+    on = lat > 0
+    k = int(np.count_nonzero(on, axis=1).max(initial=0))
     if k > _MAX_SUPPORT:
         raise SizeCapExceededError(
             f"support size {k} exceeds face-enumeration limit {_MAX_SUPPORT}",
             count=k,
         )
-    if q == 0:
-        return []
-    masks = _subset_masks(k)
-    quot = bs[None, :] - masks
-    isface = (E[None, :, :] <= quot[:, None, :]).all(axis=2).any(axis=1)
-    return [int(m) for m in np.flatnonzero(isface)]
+    rank = np.cumsum(on, axis=1) - 1
+    facets = np.zeros((lat.shape[0], G.shape[0]), dtype=np.int64)
+    divides = np.ones(facets.shape, dtype=bool)
+    for j in range(G.shape[1]):
+        g, b = G[:, j], lat[:, j, None]
+        divides &= g <= b
+        facets |= (g < b).astype(np.int64) << rank[:, j, None].clip(0)
+    return np.where(divides, facets, -1)
 
 
-def _is_cone(face_set: set[int], k: int) -> bool:
-    """True when some vertex completes every face, making the complex a cone."""
-    for v in range(k):
-        bit = 1 << v
-        if all((m | bit) in face_set for m in face_set):
-            return True
-    return False
+def _full_simplex(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """Per multidegree b: True when some facet of K^b is all of supp b.
+
+    That makes K^b the full simplex on supp b, hence contractible.  It
+    happens when some generator divides x^b / x^supp(b).
+    """
+    topped = np.maximum(lat, 1) - 1
+    covers = np.ones((lat.shape[0], G.shape[0]), dtype=bool)
+    for j in range(G.shape[1]):
+        covers &= G[:, j] <= topped[:, j, None]
+    return covers.any(axis=1)
 
 
-def _multidegree_betti(G: np.ndarray, b: np.ndarray, p: int) -> dict[int, int]:
-    """Nonzero Betti ranks {i: beta_{i,b}} at one multidegree."""
-    n = G.shape[1]
-    supp = np.flatnonzero(b)
-    k = int(supp.size)
-    off = np.ones(n, dtype=bool)
-    off[supp] = False
-    elig = G[(G[:, off] == 0).all(axis=1)] if off.any() else G
-    if elig.shape[0] == 0:
-        return {}
-    faces = _face_mask_list(elig[:, supp], b[supp])
-    if not faces:
-        return {}
-    fset = set(faces)
-    if k and _is_cone(fset, k):
-        return {}
-    hdims = _homology_dims_from_masks(faces, p)
-    return {d + 1: h for d, h in hdims.items() if h > 0}
+def _face_indicators(facets: np.ndarray, k: int) -> np.ndarray:
+    """Boolean (rows, 2^k) array: row r marks the faces of one complex.
+
+    The complex of row r is the down-closure of the facets in facets[r]
+    (bitmasks over k vertices; -1 entries are ignored).  The facets are
+    marked, then closed downwards one vertex at a time.
+    """
+    ind = np.zeros((facets.shape[0], 1 << k), dtype=bool)
+    r, g = np.nonzero(facets >= 0)
+    ind[r, facets[r, g]] = True
+    for j in range(k):
+        pairs = ind.reshape(facets.shape[0], -1, 2, 1 << j)
+        pairs[:, :, 0] |= pairs[:, :, 1]
+    return ind
+
+
+def _koszul_batches(G: np.ndarray, lat: np.ndarray):
+    """Yield (b, ind): face indicators of K^b for b in the rows of lat.
+
+    Full simplices are skipped.  The rows of a batch share one support
+    size k, and a batch stays within the byte budget.
+    """
+    # Exponents compare in the narrowest type that holds them.
+    small = np.min_scalar_type(max(int(G.max()), int(lat.max())))
+    G = G.astype(small)
+    q, n = G.shape
+    step = max(1, _CHUNK_BYTES // (q * n * 8))
+    for lo in range(0, lat.shape[0], step):
+        part = lat[lo : lo + step].astype(small)
+        part = part[~_full_simplex(G, part)]
+        facets = _facet_masks(G, part)
+        ks = np.count_nonzero(part, axis=1)
+        for k in np.unique(ks).tolist():
+            rows = np.flatnonzero(ks == k)
+            per = max(1, _CHUNK_BYTES >> k)
+            for at in range(0, rows.size, per):
+                batch = rows[at : at + per]
+                yield part[batch], _face_indicators(facets[batch], k)
+
+
+def _star_quotients(ind: np.ndarray):
+    """Yield (r, cells) for each row of ind whose complex is not a cone.
+
+    The closed star st(v) of a vertex is a cone, so H~_d(K) = H_d(K, st v).
+    The cells of K left are the faces sigma with sigma + v not in K; there
+    are |K| - 2 deg v of them, where deg v counts the faces through v.  The
+    vertex of largest degree leaves the fewest, and none left means K is a
+    cone.  cells are sorted bitmasks; complexes need at least one vertex.
+    """
+    rows, size = ind.shape
+    k = size.bit_length() - 1
+    deg = np.stack(
+        [np.count_nonzero(ind.reshape(rows, -1, 2, 1 << v)[:, :, 1], axis=(1, 2))
+         for v in range(k)],
+        axis=1,
+    )
+    best = np.argmax(deg, axis=1)
+    count = np.count_nonzero(ind, axis=1) - 2 * deg[np.arange(rows), best]
+    for r in np.flatnonzero(count).tolist():
+        faces = np.flatnonzero(ind[r])
+        bit = 1 << int(best[r])
+        rest = faces[faces & bit == 0]
+        yield r, rest[~ind[r, rest | bit]].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -309,29 +363,38 @@ def _multidegree_betti(G: np.ndarray, b: np.ndarray, p: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 def _lcm_lattice_encoded(G: np.ndarray, cap: int, base: int) -> np.ndarray:
-    n = G.shape[1]
-    weights = np.array([base**i for i in range(n)], dtype=np.int64)
-    rows = np.unique(G, axis=0)
-    seen = np.unique(rows @ weights)
-    frontier = rows
-    collected = [rows]
+    """The lcm lattice as rows, in lexicographic order.
+
+    Rows are coded as base-`base` numbers with x1 the leading digit, so the
+    order of codes is the order of rows.  Each round joins the newest points
+    with every generator, a chunk of rows at a time.
+    """
+    q, n = G.shape
+    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    seen = np.unique(G @ weights)
+    frontier = seen
+    step = max(1, _CHUNK_BYTES // (q * n * 8))
     while frontier.size:
-        cand = np.maximum(frontier[:, None, :], G[None, :, :]).reshape(-1, n)
-        codes = cand @ weights
-        uniq, first = np.unique(codes, return_index=True)
-        fresh = ~np.isin(uniq, seen)
-        new_rows = cand[first[fresh]]
-        if new_rows.shape[0] == 0:
+        rows = frontier[:, None] // weights % base
+        fresh = []
+        for lo in range(0, rows.shape[0], step):
+            part = rows[lo : lo + step]
+            codes = np.zeros((part.shape[0], q), dtype=np.int64)
+            for j in range(n):
+                codes += np.maximum(part[:, j, None], G[:, j]) * weights[j]
+            codes = np.unique(codes)
+            pos = np.minimum(np.searchsorted(seen, codes), seen.size - 1)
+            fresh.append(codes[seen[pos] != codes])
+        frontier = np.unique(np.concatenate(fresh))
+        if frontier.size == 0:
             break
-        seen = np.union1d(seen, uniq[fresh])
+        seen = np.union1d(seen, frontier)
         if seen.size > cap:
             raise SizeCapExceededError(
                 f"lcm lattice exceeded cap {cap} (reached {seen.size})",
                 count=int(seen.size),
             )
-        collected.append(new_rows)
-        frontier = new_rows
-    return np.unique(np.concatenate(collected), axis=0)
+    return seen[:, None] // weights % base
 
 
 def _lcm_lattice_tuples(G: np.ndarray, cap: int) -> np.ndarray:
@@ -492,16 +555,11 @@ def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplex
     if ideal.is_zero():
         return SimplicialComplexFaces((), ())
     G = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
-    bv = np.array(b.exponents, dtype=np.int64)
-    n = G.shape[1]
-    supp = np.flatnonzero(bv)
-    off = np.ones(n, dtype=bool)
-    off[supp] = False
-    elig = G[(G[:, off] == 0).all(axis=1)] if off.any() else G
-    faces = _face_mask_list(elig[:, supp], bv[supp]) if elig.shape[0] else []
-    labels = [int(v) + 1 for v in supp]
+    bv = np.array([b.exponents], dtype=np.int64)
+    labels = [int(v) + 1 for v in np.flatnonzero(bv[0])]
+    ind = _face_indicators(_facet_masks(G, bv), len(labels))[0]
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for m in faces:
+    for m in np.flatnonzero(ind).tolist():
         verts = tuple(labels[j] for j in range(len(labels)) if (m >> j) & 1)
         groups.setdefault(len(verts), []).append(verts)
     if not groups:
@@ -528,9 +586,8 @@ def reduced_homology_dims(
             for v in f:
                 m |= 1 << pos[v]
             masks.append(m)
-    hdims = _homology_dims_from_masks(masks, fieldspec.characteristic)
-    top = max(hdims)
-    return [hdims[d] for d in range(-1, top + 1)]
+    hdims = _homology_dims(sorted(masks), fieldspec.characteristic)
+    return [hdims.get(d, 0) for d in range(-1, cx.dim + 1)]
 
 
 def betti_table(
@@ -544,24 +601,13 @@ def betti_table(
         return BettiTable(ideal.ambient, p, {})
     G = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
     lat = _lcm_lattice_array(G, lattice_cap)
-    # When x^b / x^supp(b) still lies in I the Koszul complex is the full
-    # simplex on supp(b), hence contractible; one vectorized pass prunes
-    # those multidegrees before any homology is attempted.
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
-    keep_chunks = []
-    topped = np.maximum(lat - 1, 0)
-    chunk = 2048
-    for lo in range(0, lat.shape[0], chunk):
-        tc = topped[lo : lo + chunk]
-        full = (G[None, :, :] <= tc[:, None, :]).all(axis=2).any(axis=1)
-        keep_chunks.append(~full)
-    keep = np.concatenate(keep_chunks)
-    for b in lat[keep]:
-        contrib = _multidegree_betti(G, b, p)
-        if contrib:
-            bt = tuple(int(x) for x in b)
-            for i, r in contrib.items():
-                entries[(i, bt)] = r
+    for part, ind in _koszul_batches(G, lat):
+        for r, cells in _star_quotients(ind):
+            b = tuple(part[r].tolist())
+            for d, h in _homology_dims(cells, p).items():
+                if h > 0:
+                    entries[(d + 1, b)] = h
     return BettiTable(ideal.ambient, p, entries)
 
 

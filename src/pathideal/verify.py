@@ -281,8 +281,13 @@ def _cell_rows(cfg: SweepConfig, n: int, t: int, s: int) -> list[Row]:
         except SizeCapExceededError as exc:
             status = "skipped"
             log.info("cell (%d,%d,%d) %s skipped: %s", n, t, s, quantity, exc)
+        except PathIdealError as exc:
+            # One broken cell must not abort the sweep, or its pool.
+            status = "fail"
+            oracle_val = f"{type(exc).__name__}: {exc}"
+            log.warning("cell (%d,%d,%d) %s failed: %s", n, t, s, quantity, exc)
         ms = (time.perf_counter() - t0) * 1000.0
-        if status != "skipped":
+        if status == "pass":
             if report_only:
                 status = "info"
                 if oracle_val != formula:

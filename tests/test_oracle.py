@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -40,6 +41,14 @@ def ideal(texts: list[str], ambient: int) -> MonomialIdeal:
 def power(n: int, t: int, s: int) -> MonomialIdeal:
     gens = [mono for _, mono in power_generators(PathIdealSpec(n, t), s)]
     return minimalize(gens, ambient=n)
+
+
+# Small mixed-degree, non-squarefree ideals with syzygies beyond i = 1.
+OFF_PATH_IDEALS = [
+    (["x1^2", "x1*x2*x3", "x2^2*x4", "x3^3", "x4^2*x1"], 4),
+    (["x1^3", "x1*x2", "x2^2*x3", "x3*x4^2", "x4^3"], 4),
+    (["x1^2*x2", "x1*x3^2", "x2^2*x3", "x4^3", "x2*x4", "x1*x2*x3*x5"], 5),
+]
 
 
 def betti_via_public_route(i: MonomialIdeal, p: int) -> dict:
@@ -187,6 +196,48 @@ def test_upper_koszul_off_lattice_degree_is_contractible():
     assert reduced_homology_dims(cx) == [0, 0]
 
 
+def koszul_by_definition(i: MonomialIdeal, b: Monomial) -> SimplicialComplexFaces:
+    """Faces sigma within supp(b) with x^b / x^sigma in I, by enumeration."""
+    supp = [j for j, e in enumerate(b.exponents) if e]
+    faces = []
+    for r in range(len(supp) + 1):
+        for sigma in itertools.combinations(supp, r):
+            quot = [e - (j in sigma) for j, e in enumerate(b.exponents)]
+            if any(
+                all(g <= e for g, e in zip(gen.exponents, quot))
+                for gen in i.generators
+            ):
+                faces.append(tuple(j + 1 for j in sigma))
+    return SimplicialComplexFaces.from_faces(faces)
+
+
+def test_upper_koszul_matches_definition():
+    ideals = [power(5, 3, 2)] + [ideal(g, a) for g, a in OFF_PATH_IDEALS]
+    for i in ideals:
+        degrees = [b.exponents for b in lcm_lattice(i)]
+        # off-lattice degrees too: one more of each variable on a few points
+        degrees += [
+            tuple(e + (j == v) for j, e in enumerate(b))
+            for b in degrees[:4]
+            for v in range(i.ambient)
+        ]
+        for exps in degrees:
+            b = Monomial(exps)
+            assert upper_koszul_complex(i, b) == koszul_by_definition(i, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(*([st.integers(0, 2)] * 4)), min_size=1, max_size=4),
+    st.tuples(*([st.integers(0, 3)] * 4)),
+)
+def test_upper_koszul_matches_definition_on_random_ideals(gens, b):
+    i = minimalize([Monomial(g) for g in gens], ambient=4)
+    assert upper_koszul_complex(i, Monomial(b)) == koszul_by_definition(
+        i, Monomial(b)
+    )
+
+
 def test_upper_koszul_ambient_mismatch():
     with pytest.raises(AmbientMismatchError):
         upper_koszul_complex(ideal(["x1*x2"], 3), m("x1", 4))
@@ -281,6 +332,13 @@ def test_betti_matches_public_route_on_path_powers():
         for p in (2, 3):
             fast = betti_table(i, FieldSpec(p))
             assert fast.entries == betti_via_public_route(i, p)
+    for gens, ambient in OFF_PATH_IDEALS:
+        i = ideal(gens, ambient)
+        assert len(set(i.generator_degrees())) > 1
+        for p in (2, 3):
+            fast = betti_table(i, FieldSpec(p))
+            assert fast.max_index() >= 2
+            assert fast.entries == betti_via_public_route(i, p)
 
 
 def test_betti_lattice_cap():
@@ -331,6 +389,26 @@ def test_fieldspec_requires_prime():
         with pytest.raises(ValueError):
             FieldSpec(bad)
     assert GF2.characteristic == 2
+
+
+def test_fieldspec_bounds_characteristic():
+    # 4294967311 is prime, but (p-1)^2 overflows gfp_rank's int64 products.
+    with pytest.raises(ValueError, match="2\\^31"):
+        FieldSpec(4294967311)
+    with pytest.raises(ValueError, match="2\\^31"):
+        gfp_rank(np.eye(2, dtype=np.int64), 4294967311)
+    # The largest accepted prime: random 4x4 products of a 4x3 and a 3x4
+    # matrix have rank 3 over it.
+    p = FieldSpec(2147483647).characteristic
+    rng = random.Random(3)
+    for _ in range(200):
+        a = [[rng.randrange(p) for _ in range(3)] for _ in range(4)]
+        c = [[rng.randrange(p) for _ in range(4)] for _ in range(3)]
+        prod = [
+            [sum(x * y for x, y in zip(row, col)) % p for col in zip(*c)]
+            for row in a
+        ]
+        assert gfp_rank(np.array(prod, dtype=np.int64), p) == 3
 
 
 # ---------------------------------------------------------------- serialization

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import pathideal.cache as cache_mod
+import pathideal.verify as verify_mod
 from pathideal.cache import (
     CACHE_ENV_VAR,
     BettiCache,
@@ -19,9 +20,9 @@ from pathideal.cache import (
     resolve_cache_dir,
 )
 from pathideal.cli import load_config_file, main
-from pathideal.errors import PathIdealError
+from pathideal.errors import ColonFormMismatchError, PathIdealError
 from pathideal.monomials import minimalize, parse_monomial
-from pathideal.oracle import GF2, FieldSpec
+from pathideal.oracle import GF2, BettiTable, FieldSpec
 from pathideal.verify import (
     CSV_COLUMNS,
     Row,
@@ -127,6 +128,23 @@ def test_augmented_rows_can_fail_beyond_overlap(tmp_path):
     aug = [r for r in report.rows if r.quantity.startswith("reg_augmented")]
     assert {r.quantity for r in aug} == {f"reg_augmented_j{j}" for j in (2, 3, 4)}
     assert all(r.status == "pass" for r in aug)
+
+
+def test_broken_cell_gives_fail_row(tmp_path, monkeypatch):
+    def broken(spec, s):
+        raise ColonFormMismatchError("colon 2 disagrees with its closed form")
+
+    monkeypatch.setattr(verify_mod, "linear_quotients_check", broken)
+    cfg = tiny_config(tmp_path / "cache", n_min=3, n_max=3, s_max=1, jobs=1)
+    report = run_sweep(cfg)
+    census = [r for r in report.rows if r.quantity == "s_k_census"]
+    assert len(census) == 1
+    row = census[0]
+    assert row.status == "fail"
+    assert "colon 2 disagrees" in row.oracle
+    assert row.repro == "pathideal check --n 3 --t 2 --power 1 --mode quotients"
+    assert report.summary["fail"] == 2  # linear_quotients and s_k_census
+    assert any(r.quantity == "reg" and r.status == "pass" for r in report.rows)
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
@@ -235,6 +253,29 @@ def test_cache_rejects_swapped_entries(tmp_path):
     )
     cached_betti_table(EDGE_IDEAL_3, FieldSpec(3), cache)
     assert cache.hits == 0  # stored-key mismatch forced a recompute
+
+
+def test_cache_does_not_replay_older_oracle(tmp_path, monkeypatch):
+    cache = BettiCache(tmp_path / "cache")
+    # An older oracle stored a (here: wrong) table for the ideal.
+    monkeypatch.setattr(cache_mod, "ORACLE_VERSION", cache_mod.ORACLE_VERSION - 1)
+    old_key = betti_cache_key(EDGE_IDEAL_3, 2)
+    cache.store(old_key, BettiTable(3, 2, {(0, (1, 1, 0)): 1}))
+    monkeypatch.undo()
+    assert betti_cache_key(EDGE_IDEAL_3, 2) != old_key
+    table = cached_betti_table(EDGE_IDEAL_3, GF2, cache)
+    assert table.totals() == {0: 2, 1: 1}
+    assert (cache.hits, cache.misses) == (0, 1)
+    # Under the current key, an entry written by another version is a miss
+    # and is evicted.
+    key = betti_cache_key(EDGE_IDEAL_3, 2)
+    entry = tmp_path / "cache" / f"{key}.json"
+    data = json.loads(entry.read_text(encoding="utf-8"))
+    assert data["oracle_version"] == cache_mod.ORACLE_VERSION
+    data["oracle_version"] -= 1
+    entry.write_text(json.dumps(data), encoding="utf-8")
+    assert cache.lookup(key) is None
+    assert not entry.exists()
 
 
 def test_cache_survives_unwritable_directory(tmp_path):
@@ -386,6 +427,13 @@ def test_cli_reg_rejects_zero_ideal(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "pathideal:" in err
+
+
+def test_cli_rejects_oversized_characteristic(capsys):
+    code = main(["reg", "--n", "5", "--t", "3", "--char", "4294967311"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "2^31" in err
 
 
 def test_cli_check_quotients_failure_beyond_overlap(capsys):
