@@ -77,6 +77,8 @@ class BettiCache:
             return None
         try:
             data = json.loads(raw)
+            if not isinstance(data, dict):
+                raise ValueError("entry is not a JSON object")
             if data.get("key") != key:
                 raise ValueError("stored key mismatch")
             if data.get("oracle_version") != ORACLE_VERSION:

@@ -11,13 +11,10 @@ import math
 __all__ = [
     "gamma",
     "reg_power",
-    "reg_linear_case",
     "betti_closed_form",
     "pd_closed_form",
     "s_k_closed_form",
     "linear_resolution_predicate",
-    "gamma_shift_identity",
-    "gamma_superadditive",
     "reg_power_augmented",
 ]
 
@@ -43,21 +40,6 @@ def reg_power(n: int, t: int, s: int) -> int:
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
     return gamma(n, t) + t * (s - 1)
-
-
-def reg_linear_case(n: int, t: int, s: int) -> int:
-    """Regularity of R/I^s in the overlap regime t <= n <= 2t: t*s - 1."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if not t <= n <= 2 * t:
-        raise ValueError(f"need t <= n <= 2t, got n={n}, t={t}")
-    if s < 1:
-        raise ValueError(f"power must be >= 1, got {s}")
-    value = t * s - 1
-    # The general formula must collapse to this one on its shared domain.
-    if t >= 2:
-        assert value == reg_power(n, t, s)
-    return value
 
 
 def betti_closed_form(n: int, t: int, s: int, i: int) -> int:
@@ -105,24 +87,6 @@ def linear_resolution_predicate(n: int, t: int) -> bool:
     if n < t:
         raise ValueError(f"need n >= t, got n={n}, t={t}")
     return t <= n <= 2 * t
-
-
-def gamma_shift_identity(n: int, t: int) -> bool:
-    """Check gamma(n - t - 1, t) == gamma(n, t) - (t - 1), for n >= t + 1."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if n < t + 1:
-        raise ValueError(f"need n >= t + 1, got n={n}")
-    return gamma(n - t - 1, t) == gamma(n, t) - (t - 1)
-
-
-def gamma_superadditive(a: int, b: int, t: int) -> bool:
-    """Check gamma(a, t) + gamma(b, t) <= gamma(a + b + 1, t), for a, b >= 1."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    if a < 1 or b < 1:
-        raise ValueError(f"need a, b >= 1, got a={a}, b={b}")
-    return gamma(a, t) + gamma(b, t) <= gamma(a + b + 1, t)
 
 
 def reg_power_augmented(n: int, t: int, s: int, j: int) -> int:

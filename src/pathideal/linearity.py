@@ -23,8 +23,6 @@ from .monomials import (
 from .path_ideals import (
     Composition,
     PathIdealSpec,
-    composition_to_monomial,
-    compositions_desc,
     line_graph_generators,
     power_generators,
 )
@@ -34,7 +32,6 @@ __all__ = [
     "QuotientFailure",
     "QuasiLinearResult",
     "QuasiLinearBreak",
-    "sort_for_linear_quotients",
     "closed_form_colon",
     "linear_quotients_check",
     "quasi_linear_check",
@@ -96,18 +93,6 @@ class QuasiLinearBreak:
     @property
     def valid(self) -> bool:
         return self.unique_degree_one and self.variable_misses_first_power
-
-
-def sort_for_linear_quotients(comps: list[Composition]) -> list[Composition]:
-    """Sort compositions of a common total lexicographically, largest first."""
-    if comps:
-        totals = {c.total for c in comps}
-        if len(totals) > 1:
-            raise ValueError(f"mixed composition totals {sorted(totals)}")
-        lengths = {len(c.parts) for c in comps}
-        if len(lengths) > 1:
-            raise ValueError(f"mixed part counts {sorted(lengths)}")
-    return sorted(comps, key=lambda c: c.parts, reverse=True)
 
 
 def closed_form_colon(comp: Composition) -> frozenset[int]:

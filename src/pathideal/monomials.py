@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     AmbientMismatchError,
     ExponentOverflowError,
@@ -29,16 +31,12 @@ __all__ = [
     "parse_monomial",
     "format_monomial",
     "mono_divides",
-    "mono_gcd",
-    "mono_lcm",
     "mono_mul",
     "mono_pow",
     "mono_quotient",
     "minimalize",
     "colon_by_monomial",
-    "ideal_sum",
     "ideal_power",
-    "generated_by_variables",
 ]
 
 # Hard cap on any single exponent or total degree; exceeding it is an error,
@@ -48,6 +46,9 @@ EXPONENT_CAP = 1 << 16
 # Default cap on the number of s-fold generator products enumerated by
 # ideal_power before minimalization.
 POWER_PRODUCT_CAP = 200_000
+
+# Byte budget for the scratch arrays of one chunk of a numpy pass.
+_CHUNK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -152,16 +153,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a.exponents, b.exponents))
 
 
-def mono_gcd(a: Monomial, b: Monomial) -> Monomial:
-    _same_ambient(a, b)
-    return Monomial(tuple(min(x, y) for x, y in zip(a.exponents, b.exponents)))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    _same_ambient(a, b)
-    return Monomial(tuple(max(x, y) for x, y in zip(a.exponents, b.exponents)))
-
-
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     _same_ambient(a, b)
     exps = tuple(x + y for x, y in zip(a.exponents, b.exponents))
@@ -216,10 +207,11 @@ class MonomialIdeal:
         exps = [g.exponents for g in self.generators]
         if exps != sorted(exps):
             raise ValueError("generators not sorted canonically")
-        # Pairwise incomparability; quadratic, fine at desk scale.
-        for a, b in itertools.combinations(self.generators, 2):
-            if mono_divides(a, b) or mono_divides(b, a):
-                raise ValueError(f"non-minimal generators {a}, {b}")
+        minimal = _minimal_rows(exps)
+        if not all(minimal):
+            b = self.generators[minimal.index(False)]
+            a = next(g for g in self.generators if g != b and mono_divides(g, b))
+            raise ValueError(f"non-minimal generators {a}, {b}")
 
     def is_zero(self) -> bool:
         return not self.generators
@@ -263,16 +255,36 @@ def minimalize(gens: Iterable[Monomial], ambient: int | None = None) -> Monomial
         raise AmbientMismatchError(f"ambient mismatch: {ambient} vs {amb}")
     for g in gens[1:]:
         _same_ambient(gens[0], g)
-    # Sort by degree then lex; a proper divisor always precedes its multiples,
-    # and equal-degree distinct monomials never divide each other.
-    ordered = sorted(set(g.exponents for g in gens), key=lambda e: (sum(e), e))
-    kept: list[Monomial] = []
-    for exps in ordered:
-        m = Monomial(exps)
-        if not any(mono_divides(k, m) for k in kept):
-            kept.append(m)
-    kept.sort(key=lambda g: g.exponents)
+    by_exps = {g.exponents: g for g in gens}
+    ordered = sorted(by_exps)
+    kept = [by_exps[e] for e, keep in zip(ordered, _minimal_rows(ordered)) if keep]
     return MonomialIdeal(amb, tuple(kept))
+
+
+def _minimal_rows(exps: list[tuple[int, ...]]) -> list[bool]:
+    """For distinct exponent vectors: True where no other vector divides it.
+
+    A proper divisor has a smaller degree, so each degree level is compared
+    only with the minimal vectors of the lower levels, a chunk of rows at a
+    time within _CHUNK_BYTES.  Vectors of a single degree need no comparison.
+    """
+    degrees = [sum(e) for e in exps]
+    levels = sorted(set(degrees))
+    if len(levels) < 2:
+        return [True] * len(exps)
+    E = np.array(exps, dtype=np.int64)
+    deg = np.array(degrees)
+    minimal = np.ones(len(exps), dtype=bool)
+    below = E[deg == levels[0]]
+    for d in levels[1:]:
+        rows = np.flatnonzero(deg == d)
+        step = max(1, _CHUNK_BYTES // below.size)
+        for lo in range(0, rows.size, step):
+            part = rows[lo : lo + step]
+            divided = (below <= E[part, None, :]).all(axis=2).any(axis=1)
+            minimal[part] = ~divided
+        below = np.concatenate([below, E[rows[minimal[rows]]]])
+    return minimal.tolist()
 
 
 def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -284,15 +296,6 @@ def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     return minimalize(
         (mono_quotient(g, m) for g in ideal.generators), ambient=ideal.ambient
     )
-
-
-def ideal_sum(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """The sum I + J, minimalized."""
-    if a.ambient != b.ambient:
-        raise AmbientMismatchError(
-            f"ambient mismatch: {a.ambient} vs {b.ambient}"
-        )
-    return minimalize(a.generators + b.generators, ambient=a.ambient)
 
 
 def ideal_power(
@@ -321,8 +324,3 @@ def ideal_power(
             acc = mono_mul(acc, g)
         products.append(acc)
     return minimalize(products, ambient=ideal.ambient)
-
-
-def generated_by_variables(ideal: MonomialIdeal) -> bool:
-    """True iff every minimal generator has degree 1 (vacuously for 0)."""
-    return all(g.degree == 1 for g in ideal.generators)

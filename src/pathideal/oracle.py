@@ -15,36 +15,26 @@ dense modular Gaussian elimination.  Rational homology is out of scope.
 
 from __future__ import annotations
 
-import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import AmbientMismatchError, SizeCapExceededError
-from .monomials import Monomial, MonomialIdeal
+from .errors import SizeCapExceededError
+from .monomials import _CHUNK_BYTES, Monomial, MonomialIdeal
 
 __all__ = [
     "DEFAULT_LATTICE_CAP",
     "ORACLE_VERSION",
     "FieldSpec",
     "GF2",
-    "SimplicialComplexFaces",
     "BettiTable",
     "gf2_rank",
     "gfp_rank",
     "lcm_lattice",
-    "upper_koszul_complex",
-    "reduced_homology_dims",
     "betti_table",
-    "regularity_of_quotient",
-    "projective_dimension_of_quotient",
-    "has_linear_resolution",
 ]
-
-log = logging.getLogger(__name__)
 
 # Hard cap on the number of distinct multidegrees visited per ideal.
 DEFAULT_LATTICE_CAP = 200_000
@@ -59,10 +49,9 @@ _MAX_CHARACTERISTIC = 1 << 31
 # Largest support size for which the 2^k face enumeration is attempted.
 _MAX_SUPPORT = 24
 
-# Byte budget for the scratch arrays of one chunk.  Lattice and facet
-# chunks take _CHUNK_BYTES // (q * n * 8) multidegrees, a batch of face
-# indicators _CHUNK_BYTES >> k.
-_CHUNK_BYTES = 1 << 24
+# Chunks of scratch arrays stay within the byte budget _CHUNK_BYTES: lattice
+# and facet chunks take _CHUNK_BYTES // (q * n * 8) multidegrees, a batch of
+# face indicators _CHUNK_BYTES >> k.
 
 
 def _is_prime(p: int) -> bool:
@@ -144,85 +133,15 @@ def gfp_rank(mat: np.ndarray, p: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# simplicial complexes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimplicialComplexFaces:
-    """All faces of a finite simplicial complex, grouped by dimension.
-
-    Group g lists the faces with g vertices (dimension g - 1), as sorted
-    tuples of vertex labels; group 0 is the empty face.  The void complex
-    has no groups at all.
-    """
-
-    vertices: tuple[int, ...]
-    faces: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if tuple(sorted(vset)) != self.vertices:
-            raise ValueError("vertices must be sorted and distinct")
-        all_faces = set()
-        for g, group in enumerate(self.faces):
-            if tuple(sorted(group)) != group:
-                raise ValueError(f"faces of dimension {g - 1} not sorted")
-            for f in group:
-                if len(f) != g or tuple(sorted(set(f))) != f:
-                    raise ValueError(f"bad face {f!r} in group {g}")
-                if not set(f) <= vset:
-                    raise ValueError(f"face {f!r} uses unknown vertices")
-                all_faces.add(f)
-        # Downward closure.
-        for f in all_faces:
-            if not f:
-                continue
-            for sub in itertools.combinations(f, len(f) - 1):
-                if sub not in all_faces:
-                    raise ValueError(f"face {f!r} missing subface {sub!r}")
-
-    @classmethod
-    def from_faces(cls, faces: Iterable[Iterable[int]]) -> "SimplicialComplexFaces":
-        """Build the downward closure of the given faces."""
-        closure: set[tuple[int, ...]] = set()
-        for f in faces:
-            vs = tuple(sorted(set(f)))
-            for r in range(len(vs) + 1):
-                closure.update(itertools.combinations(vs, r))
-        if not closure:
-            return cls((), ())
-        maxlen = max(len(f) for f in closure)
-        groups = tuple(
-            tuple(sorted(f for f in closure if len(f) == g))
-            for g in range(maxlen + 1)
-        )
-        vertices = tuple(sorted(set(v for f in closure for v in f)))
-        return cls(vertices, groups)
-
-    @property
-    def is_void(self) -> bool:
-        return not self.faces
-
-    @property
-    def dim(self) -> int:
-        """Dimension of the largest face; -2 for the void complex."""
-        return len(self.faces) - 2
-
-    def face_count(self) -> int:
-        return sum(len(g) for g in self.faces)
-
-
-# ---------------------------------------------------------------------------
 # homology core (bitmask faces)
 # ---------------------------------------------------------------------------
 
 def _homology_dims(cells: list[int], p: int) -> dict[int, int]:
-    """Homology dimensions {d: dim H_d} over GF(p) of a chain complex of cells.
+    """Relative homology dimensions {d: dim H_d(K, L)} over GF(p).
 
-    cells are the vertex bitmasks of K minus a subcomplex L; a cell
-    with d + 1 vertices has dimension d, and the boundary drops the faces in
-    L, as relative chains do.  With L empty and the empty face present this
-    is the reduced homology of K.  Every dimension that has cells is covered.
+    cells are the vertex bitmasks of the faces of K not in the subcomplex L;
+    a cell with d + 1 vertices has dimension d, and the boundary drops the
+    faces in L.  Every dimension that has cells is covered.
     """
     groups: dict[int, list[int]] = {}
     for m in cells:
@@ -281,16 +200,17 @@ def _facet_masks(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
 
 
 def _full_simplex(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
-    """Per multidegree b: True when some facet of K^b is all of supp b.
+    """Per multidegree b != 0: True when some facet of K^b is all of supp b.
 
     That makes K^b the full simplex on supp b, hence contractible.  It
-    happens when some generator divides x^b / x^supp(b).
+    happens when some generator divides x^b / x^supp(b).  At b = 0 the
+    simplex is {empty face}, which is not contractible.
     """
     topped = np.maximum(lat, 1) - 1
     covers = np.ones((lat.shape[0], G.shape[0]), dtype=bool)
     for j in range(G.shape[1]):
         covers &= G[:, j] <= topped[:, j, None]
-    return covers.any(axis=1)
+    return covers.any(axis=1) & lat.any(axis=1)
 
 
 def _face_indicators(facets: np.ndarray, k: int) -> np.ndarray:
@@ -316,10 +236,10 @@ def _koszul_batches(G: np.ndarray, lat: np.ndarray):
     size k, and a batch stays within the byte budget.
     """
     # Exponents compare in the narrowest type that holds them.
-    small = np.min_scalar_type(max(int(G.max()), int(lat.max())))
+    small = np.min_scalar_type(max(int(G.max(initial=0)), int(lat.max(initial=0))))
     G = G.astype(small)
     q, n = G.shape
-    step = max(1, _CHUNK_BYTES // (q * n * 8))
+    step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
     for lo in range(0, lat.shape[0], step):
         part = lat[lo : lo + step].astype(small)
         part = part[~_full_simplex(G, part)]
@@ -340,10 +260,14 @@ def _star_quotients(ind: np.ndarray):
     The cells of K left are the faces sigma with sigma + v not in K; there
     are |K| - 2 deg v of them, where deg v counts the faces through v.  The
     vertex of largest degree leaves the fewest, and none left means K is a
-    cone.  cells are sorted bitmasks; complexes need at least one vertex.
+    cone.  cells are sorted bitmasks.  Without vertices K is {empty face},
+    all of whose cells are kept.
     """
     rows, size = ind.shape
     k = size.bit_length() - 1
+    if k == 0:
+        yield from ((r, [0]) for r in range(rows))
+        return
     deg = np.stack(
         [np.count_nonzero(ind.reshape(rows, -1, 2, 1 << v)[:, :, 1], axis=(1, 2))
          for v in range(k)],
@@ -362,24 +286,27 @@ def _star_quotients(ind: np.ndarray):
 # lcm lattice
 # ---------------------------------------------------------------------------
 
-def _lcm_lattice_encoded(G: np.ndarray, cap: int, base: int) -> np.ndarray:
-    """The lcm lattice as rows, in lexicographic order.
+def _lcm_lattice_encoded(G: np.ndarray, cap: int) -> np.ndarray:
+    """The lcm lattice of the generator rows of G, as rows in lex order.
 
-    Rows are coded as base-`base` numbers with x1 the leading digit, so the
-    order of codes is the order of rows.  Each round joins the newest points
-    with every generator, a chunk of rows at a time.
+    Rows are coded as base-(max G + 1) numbers with x1 the leading digit, so
+    the order of codes is the order of rows.  Codes are int64 when every
+    code fits below 2^62, Python ints (dtype object) otherwise.  Each round
+    joins the newest points with every generator, a chunk of rows at a time.
     """
     q, n = G.shape
-    weights = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    base = int(G.max(initial=0)) + 1
+    dtype = np.int64 if base**n < 2**62 else object
+    weights = np.array([base**e for e in range(n - 1, -1, -1)], dtype=dtype)
     seen = np.unique(G @ weights)
     frontier = seen
-    step = max(1, _CHUNK_BYTES // (q * n * 8))
+    step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
     while frontier.size:
         rows = frontier[:, None] // weights % base
         fresh = []
         for lo in range(0, rows.shape[0], step):
             part = rows[lo : lo + step]
-            codes = np.zeros((part.shape[0], q), dtype=np.int64)
+            codes = np.zeros((part.shape[0], q), dtype=dtype)
             for j in range(n):
                 codes += np.maximum(part[:, j, None], G[:, j]) * weights[j]
             codes = np.unique(codes)
@@ -394,26 +321,7 @@ def _lcm_lattice_encoded(G: np.ndarray, cap: int, base: int) -> np.ndarray:
                 f"lcm lattice exceeded cap {cap} (reached {seen.size})",
                 count=int(seen.size),
             )
-    return seen[:, None] // weights % base
-
-
-def _lcm_lattice_tuples(G: np.ndarray, cap: int) -> np.ndarray:
-    lattice = set(map(tuple, G.tolist()))
-    frontier = list(lattice)
-    while frontier:
-        fresh = []
-        for b in frontier:
-            merged = np.maximum(np.array(b, dtype=G.dtype), G)
-            for row in map(tuple, merged.tolist()):
-                if row not in lattice:
-                    lattice.add(row)
-                    fresh.append(row)
-                    if len(lattice) > cap:
-                        raise SizeCapExceededError(
-                            f"lcm lattice exceeded cap {cap}", count=len(lattice)
-                        )
-        frontier = fresh
-    return np.unique(np.array(sorted(lattice), dtype=G.dtype), axis=0)
+    return (seen[:, None] // weights % base).astype(np.int64, copy=False)
 
 
 def lcm_lattice(
@@ -423,16 +331,8 @@ def lcm_lattice(
     if ideal.is_zero():
         return []
     G = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
-    lat = _lcm_lattice_array(G, cap)
+    lat = _lcm_lattice_encoded(G, cap)
     return [Monomial(tuple(int(x) for x in row)) for row in lat]
-
-
-def _lcm_lattice_array(G: np.ndarray, cap: int) -> np.ndarray:
-    base = int(G.max()) + 1 if G.size else 1
-    n = G.shape[1]
-    if base > 1 and base**n < 2**62:
-        return _lcm_lattice_encoded(G, cap, base)
-    return _lcm_lattice_tuples(G, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -546,50 +446,6 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def upper_koszul_complex(ideal: MonomialIdeal, b: Monomial) -> SimplicialComplexFaces:
-    """The complex of squarefree sigma within supp(b) with x^b/x^sigma in I."""
-    if b.ambient != ideal.ambient:
-        raise AmbientMismatchError(
-            f"ambient mismatch: {b.ambient} vs {ideal.ambient}"
-        )
-    if ideal.is_zero():
-        return SimplicialComplexFaces((), ())
-    G = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
-    bv = np.array([b.exponents], dtype=np.int64)
-    labels = [int(v) + 1 for v in np.flatnonzero(bv[0])]
-    ind = _face_indicators(_facet_masks(G, bv), len(labels))[0]
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for m in np.flatnonzero(ind).tolist():
-        verts = tuple(labels[j] for j in range(len(labels)) if (m >> j) & 1)
-        groups.setdefault(len(verts), []).append(verts)
-    if not groups:
-        return SimplicialComplexFaces((), ())
-    top = max(groups)
-    face_groups = tuple(
-        tuple(sorted(groups.get(g, []))) for g in range(top + 1)
-    )
-    used = tuple(sorted({v for g in groups.values() for f in g for v in f}))
-    return SimplicialComplexFaces(used, face_groups)
-
-
-def reduced_homology_dims(
-    cx: SimplicialComplexFaces, fieldspec: FieldSpec = GF2
-) -> list[int]:
-    """Reduced homology dimensions [H~_{-1}, H~_0, ...]; empty for void."""
-    if cx.is_void:
-        return []
-    pos = {v: i for i, v in enumerate(cx.vertices)}
-    masks = []
-    for group in cx.faces:
-        for f in group:
-            m = 0
-            for v in f:
-                m |= 1 << pos[v]
-            masks.append(m)
-    hdims = _homology_dims(sorted(masks), fieldspec.characteristic)
-    return [hdims.get(d, 0) for d in range(-1, cx.dim + 1)]
-
-
 def betti_table(
     ideal: MonomialIdeal,
     fieldspec: FieldSpec = GF2,
@@ -600,7 +456,7 @@ def betti_table(
     if ideal.is_zero():
         return BettiTable(ideal.ambient, p, {})
     G = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
-    lat = _lcm_lattice_array(G, lattice_cap)
+    lat = _lcm_lattice_encoded(G, lattice_cap)
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for part, ind in _koszul_batches(G, lat):
         for r, cells in _star_quotients(ind):
@@ -609,47 +465,3 @@ def betti_table(
                 if h > 0:
                     entries[(d + 1, b)] = h
     return BettiTable(ideal.ambient, p, entries)
-
-
-def regularity_of_quotient(
-    ideal: MonomialIdeal,
-    fieldspec: FieldSpec = GF2,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> int:
-    """Castelnuovo-Mumford regularity of R/I from the brute-force table."""
-    if ideal.is_zero():
-        raise ValueError("regularity of R/(0) is not computed here; reject")
-    return betti_table(ideal, fieldspec, lattice_cap).quotient_regularity()
-
-
-def projective_dimension_of_quotient(
-    ideal: MonomialIdeal,
-    fieldspec: FieldSpec = GF2,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> int:
-    """Projective dimension of R/I from the brute-force table."""
-    if ideal.is_zero():
-        raise ValueError("projective dimension of R/(0) is not computed here")
-    return betti_table(ideal, fieldspec, lattice_cap).quotient_projective_dimension()
-
-
-def has_linear_resolution(
-    ideal: MonomialIdeal,
-    fieldspec: FieldSpec = GF2,
-    lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> bool:
-    """True iff the minimal free resolution of I is linear over GF(p).
-
-    Ideals generated in mixed degrees cannot have a linear resolution; they
-    yield False immediately, with a diagnostic log line.
-    """
-    if ideal.is_zero():
-        return True
-    degs = set(ideal.generator_degrees())
-    if len(degs) > 1:
-        log.warning(
-            "mixed generator degrees %s: linear resolution impossible",
-            sorted(degs),
-        )
-        return False
-    return betti_table(ideal, fieldspec, lattice_cap).is_linear()

@@ -223,15 +223,15 @@ class _CellState:
         self._memo: dict[Any, Any] = {}
 
     def _get(self, key: Any, build: Callable[[], Any]) -> Any:
-        # Cap errors are memoized too, so each quantity of a capped cell
-        # skips without redoing the doomed enumeration.
+        # Errors are memoized too, so each quantity of a capped or broken
+        # cell reports the same error without redoing the work.
         if key not in self._memo:
             try:
                 self._memo[key] = build()
-            except SizeCapExceededError as exc:
+            except PathIdealError as exc:
                 self._memo[key] = exc
         value = self._memo[key]
-        if isinstance(value, SizeCapExceededError):
+        if isinstance(value, PathIdealError):
             raise value
         return value
 
@@ -247,6 +247,11 @@ class _CellState:
             lambda: ideal_power(
                 path_ideal(self.spec), self.s, max_products=self.cfg.power_cap
             ),
+        )
+
+    def quotients(self):
+        return self._get(
+            "quotients", lambda: linear_quotients_check(self.spec, self.s)
         )
 
     def table(self, p: int) -> BettiTable:
@@ -384,7 +389,7 @@ def _cell_rows(cfg: SweepConfig, n: int, t: int, s: int) -> list[Row]:
 
         def quotients_oracle() -> Any:
             try:
-                outcome = linear_quotients_check(state.spec, s)
+                outcome = state.quotients()
             except PathIdealError as exc:
                 return f"closed-form mismatch: {exc}"
             if isinstance(outcome, QuotientCertificate):
@@ -399,7 +404,7 @@ def _cell_rows(cfg: SweepConfig, n: int, t: int, s: int) -> list[Row]:
         )
 
         def census_oracle() -> Any:
-            outcome = linear_quotients_check(state.spec, s)
+            outcome = state.quotients()
             if not isinstance(outcome, QuotientCertificate):
                 return "no certificate"
             census = outcome.census()

@@ -15,8 +15,6 @@ import pytest
 from pathideal.formulas import (
     betti_closed_form,
     gamma,
-    gamma_shift_identity,
-    gamma_superadditive,
     linear_resolution_predicate,
     pd_closed_form,
     reg_power,
@@ -34,16 +32,9 @@ from pathideal.monomials import (
     Monomial,
     colon_by_monomial,
     ideal_power,
-    ideal_sum,
     minimalize,
     mono_divides,
     parse_monomial,
-)
-from pathideal.oracle import (
-    FieldSpec,
-    SimplicialComplexFaces,
-    reduced_homology_dims,
-    regularity_of_quotient,
 )
 from pathideal.path_ideals import (
     PathIdealSpec,
@@ -53,6 +44,7 @@ from pathideal.path_ideals import (
     power_generators,
 )
 from pathideal.verify import SweepConfig, sweep_cells
+from support import from_faces, reduced_homology
 
 CELLS = sweep_cells(SweepConfig())
 OVERLAP = [(n, t, s) for (n, t, s) in CELLS if t <= n <= 2 * t]
@@ -96,7 +88,7 @@ def test_criterion_02_first_power_and_degenerate_cases(announce, betti, power_id
                 zero = path_ideal(PathIdealSpec(n, t))
                 assert zero.is_zero() and gamma(n, t) == 0, (n, t)
                 with pytest.raises(ValueError):
-                    regularity_of_quotient(zero)
+                    betti(zero).quotient_regularity()
         assert all(gamma(n, 1) == 0 for n in range(0, 40))
 
     announce(2, "first powers match gamma; short paths give the zero ideal", body)
@@ -214,10 +206,10 @@ def test_criterion_10_gamma_arithmetic(announce):
     def body():
         for t in range(1, 13):
             for n in range(t + 1, 61):
-                assert gamma_shift_identity(n, t), (n, t)
+                assert gamma(n - t - 1, t) == gamma(n, t) - (t - 1), (n, t)
             for a in range(1, 41):
                 for b in range(1, 41):
-                    assert gamma_superadditive(a, b, t), (a, b, t)
+                    assert gamma(a, t) + gamma(b, t) <= gamma(a + b + 1, t), (a, b, t)
 
     announce(10, "gamma obeys its shift identity and superadditivity", body)
 
@@ -242,7 +234,7 @@ def test_criterion_11_structural_regularity_properties(announce, betti):
         for _ in range(50):
             a = _random_block_ideal(rng, 6, range(1, 4))
             b = _random_block_ideal(rng, 6, range(4, 7))
-            lhs = betti(ideal_sum(a, b)).quotient_regularity()
+            lhs = betti(minimalize(a.generators + b.generators)).quotient_regularity()
             assert lhs == (
                 betti(a).quotient_regularity() + betti(b).quotient_regularity()
             ), (str(a), str(b))
@@ -258,21 +250,20 @@ def test_criterion_11_structural_regularity_properties(announce, betti):
                     break
             shifted = betti(colon_by_monomial(i, m)).quotient_regularity() + m.degree
             middle = betti(i).quotient_regularity()
-            joined = betti(ideal_sum(i, minimalize([m]))).quotient_regularity()
+            joined = betti(minimalize(i.generators + (m,))).quotient_regularity()
             key = (str(i), str(m))
             assert middle <= max(shifted, joined), key
             assert shifted <= max(middle, joined + 1), key
             assert joined <= max(shifted - 1, middle), key
 
         # (c) homology sanity on fixed complexes, two characteristics
-        two_points = SimplicialComplexFaces.from_faces([(1,), (2,)])
-        hollow = SimplicialComplexFaces.from_faces([(1, 2), (1, 3), (2, 3)])
-        point = SimplicialComplexFaces.from_faces([(1,)])
+        two_points = from_faces([(1,), (2,)])
+        hollow = from_faces([(1, 2), (1, 3), (2, 3)])
+        point = from_faces([(1,)])
         for p in (2, 3):
-            fs = FieldSpec(p)
-            assert reduced_homology_dims(two_points, fs) == [0, 1]
-            assert reduced_homology_dims(hollow, fs) == [0, 0, 1]
-            assert reduced_homology_dims(point, fs) == [0, 0]
+            assert reduced_homology(two_points, p) == [0, 1]
+            assert reduced_homology(hollow, p) == [0, 0, 1]
+            assert reduced_homology(point, p) == [0, 0]
 
     announce(11, "regularity splitting, colon bounds, and homology sanity", body)
 

@@ -9,11 +9,8 @@ import pytest
 from pathideal.formulas import (
     betti_closed_form,
     gamma,
-    gamma_shift_identity,
-    gamma_superadditive,
     linear_resolution_predicate,
     pd_closed_form,
-    reg_linear_case,
     reg_power,
     reg_power_augmented,
     s_k_closed_form,
@@ -56,18 +53,14 @@ def test_gamma_validation():
 def test_gamma_shift_identity_spot_checks():
     for t in range(1, 8):
         for n in range(t + 1, 40):
-            assert gamma_shift_identity(n, t)
-    with pytest.raises(ValueError):
-        gamma_shift_identity(3, 3)
+            assert gamma(n - t - 1, t) == gamma(n, t) - (t - 1)
 
 
 def test_gamma_superadditive_spot_checks():
     for t in range(1, 7):
         for a in range(1, 16):
             for b in range(1, 16):
-                assert gamma_superadditive(a, b, t)
-    with pytest.raises(ValueError):
-        gamma_superadditive(0, 3, 2)
+                assert gamma(a, t) + gamma(b, t) <= gamma(a + b + 1, t)
 
 
 # ---------------------------------------------------------------- regularity
@@ -92,21 +85,14 @@ def test_reg_power_validation():
 
 
 def test_reg_linear_case_anchors():
-    assert reg_linear_case(3, 2, 1) == 1
-    assert reg_linear_case(6, 3, 4) == 11
-    assert reg_linear_case(2, 1, 3) == 2  # powers of the maximal ideal
+    # In the overlap regime t <= n <= 2t the regularity is t*s - 1.
+    assert reg_power(3, 2, 1) == 1
+    assert reg_power(6, 3, 4) == 11
 
 
 def test_reg_linear_case_matches_general_formula():
     for n, t, s in OVERLAP_GRID:
-        assert reg_linear_case(n, t, s) == t * s - 1 == reg_power(n, t, s)
-
-
-def test_reg_linear_case_validation():
-    with pytest.raises(ValueError):
-        reg_linear_case(7, 3, 1)  # outside overlap regime
-    with pytest.raises(ValueError):
-        reg_linear_case(3, 2, 0)
+        assert reg_power(n, t, s) == t * s - 1
 
 
 # ---------------------------------------------------------------- Betti / pd

@@ -12,27 +12,17 @@ from pathideal.linearity import (
     linear_quotients_check,
     quasi_linear_check,
     quasi_linear_witness,
-    sort_for_linear_quotients,
 )
 from pathideal.monomials import (
     minimalize,
     mono_quotient,
-    parse_monomial,
 )
 from pathideal.path_ideals import (
     Composition,
     PathIdealSpec,
     power_generators,
 )
-
-
-def m(text: str, ambient: int):
-    return parse_monomial(text, ambient)
-
-
-def power(n: int, t: int, s: int):
-    gens = [mono for _, mono in power_generators(PathIdealSpec(n, t), s)]
-    return minimalize(gens, ambient=n)
+from support import m, power
 
 
 def naive_prefix_colon_vars(spec, s):
@@ -54,17 +44,10 @@ def naive_prefix_colon_vars(spec, s):
 
 
 def test_sort_order_is_lex_decreasing():
-    comps = [Composition(p) for p in [(0, 1, 1), (2, 0, 0), (1, 0, 1), (1, 1, 0)]]
-    got = [c.parts for c in sort_for_linear_quotients(comps)]
-    assert got == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-
-
-def test_sort_rejects_mixed_inputs():
-    with pytest.raises(ValueError):
-        sort_for_linear_quotients([Composition((1, 0)), Composition((1, 1))])
-    with pytest.raises(ValueError):
-        sort_for_linear_quotients([Composition((1, 0)), Composition((1, 0, 0))])
-    assert sort_for_linear_quotients([]) == []
+    cert = linear_quotients_check(PathIdealSpec(4, 2), 2)
+    assert [c.parts for c in cert.order] == [
+        (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)
+    ]
 
 
 def test_closed_form_colon_anchors():

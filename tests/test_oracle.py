@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import numpy as np
@@ -10,37 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathideal.errors import AmbientMismatchError, SizeCapExceededError
-from pathideal.monomials import Monomial, MonomialIdeal, minimalize, parse_monomial
+from pathideal.errors import SizeCapExceededError
+from pathideal.monomials import Monomial, MonomialIdeal, minimalize
 from pathideal.oracle import (
     GF2,
     BettiTable,
     FieldSpec,
-    SimplicialComplexFaces,
+    _face_indicators,
+    _facet_masks,
     betti_table,
     gf2_rank,
     gfp_rank,
-    has_linear_resolution,
     lcm_lattice,
-    projective_dimension_of_quotient,
-    reduced_homology_dims,
-    regularity_of_quotient,
-    upper_koszul_complex,
 )
-from pathideal.path_ideals import PathIdealSpec, path_ideal, power_generators
-
-
-def m(text: str, ambient: int) -> Monomial:
-    return parse_monomial(text, ambient)
-
-
-def ideal(texts: list[str], ambient: int) -> MonomialIdeal:
-    return minimalize([m(s, ambient) for s in texts], ambient=ambient)
-
-
-def power(n: int, t: int, s: int) -> MonomialIdeal:
-    gens = [mono for _, mono in power_generators(PathIdealSpec(n, t), s)]
-    return minimalize(gens, ambient=n)
+from pathideal.path_ideals import PathIdealSpec, path_ideal
+from support import (
+    betti_via_public_route,
+    from_faces,
+    ideal,
+    koszul_by_definition,
+    lcm_lattice_by_definition,
+    m,
+    power,
+    reduced_homology,
+)
 
 
 # Small mixed-degree, non-squarefree ideals with syzygies beyond i = 1.
@@ -51,19 +43,23 @@ OFF_PATH_IDEALS = [
 ]
 
 
-def betti_via_public_route(i: MonomialIdeal, p: int) -> dict:
-    """Recompute every entry through the per-multidegree public API.
+# Minimal 6-vertex triangulation of the projective plane: its homology over
+# GF(2) differs from GF(3), so the field matters end to end.
+RP2_TRIANGLES = [
+    (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
+    (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
+]
 
-    No lattice pruning, no cone shortcut: an independent check that the
-    batched table matches a plain walk over the lcm lattice.
-    """
-    entries = {}
-    for b in lcm_lattice(i):
-        dims = reduced_homology_dims(upper_koszul_complex(i, b), FieldSpec(p))
-        for idx, h in enumerate(dims):
-            if h:
-                entries[(idx, b.exponents)] = h
-    return entries
+
+def koszul_by_fast_path(i: MonomialIdeal, b: Monomial) -> set[tuple[int, ...]]:
+    """The faces of K^b as betti_table builds them, with 1-based labels."""
+    G = np.array([g.exponents for g in i.generators], dtype=np.int64)
+    labels = [j + 1 for j, e in enumerate(b.exponents) if e]
+    ind = _face_indicators(_facet_masks(G, np.array([b.exponents])), len(labels))[0]
+    return {
+        tuple(v for j, v in enumerate(labels) if face >> j & 1)
+        for face in np.flatnonzero(ind).tolist()
+    }
 
 
 # ---------------------------------------------------------------- ranks
@@ -104,66 +100,44 @@ def test_gfp_rank_agrees_with_bitset_route():
 
 
 def test_from_faces_hollow_triangle():
-    cx = SimplicialComplexFaces.from_faces([(1, 2), (1, 3), (2, 3)])
-    assert cx.vertices == (1, 2, 3)
-    assert cx.faces[1] == ((1,), (2,), (3,))
-    assert cx.faces[2] == ((1, 2), (1, 3), (2, 3))
-    assert cx.dim == 1
-    assert cx.face_count() == 7
+    cx = from_faces([(1, 2), (1, 3), (2, 3)])
+    assert cx == {(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3)}
 
 
 def test_from_faces_void_and_empty():
-    assert SimplicialComplexFaces.from_faces([]).is_void
-    only_empty = SimplicialComplexFaces.from_faces([()])
-    assert only_empty.dim == -1
-    assert only_empty.face_count() == 1
-
-
-def test_complex_validates_closure():
-    with pytest.raises(ValueError):
-        SimplicialComplexFaces((1, 2), (((),), ((1,),), ((1, 2),)))  # no (2,)
-    with pytest.raises(ValueError):
-        SimplicialComplexFaces((2, 1), (((),),))  # unsorted vertices
+    assert from_faces([]) == set()
+    assert from_faces([()]) == {()}
 
 
 def test_homology_contractible_cases():
-    point = SimplicialComplexFaces.from_faces([(1,)])
-    assert reduced_homology_dims(point) == [0, 0]
-    filled = SimplicialComplexFaces.from_faces([(1, 2, 3)])
-    assert reduced_homology_dims(filled) == [0, 0, 0, 0]
+    assert reduced_homology(from_faces([(1,)])) == [0, 0]
+    assert reduced_homology(from_faces([(1, 2, 3)])) == [0, 0, 0, 0]
 
 
 def test_homology_two_points():
-    cx = SimplicialComplexFaces.from_faces([(1,), (3,)])
-    assert reduced_homology_dims(cx) == [0, 1]
-    assert reduced_homology_dims(cx, FieldSpec(3)) == [0, 1]
+    cx = from_faces([(1,), (3,)])
+    assert reduced_homology(cx) == [0, 1]
+    assert reduced_homology(cx, 3) == [0, 1]
 
 
 def test_homology_empty_face_only():
-    cx = SimplicialComplexFaces.from_faces([()])
-    assert reduced_homology_dims(cx) == [1]
+    assert reduced_homology({()}) == [1]
 
 
 def test_homology_void():
-    assert reduced_homology_dims(SimplicialComplexFaces((), ())) == []
+    assert reduced_homology(set()) == []
 
 
 def test_homology_circle():
-    cx = SimplicialComplexFaces.from_faces([(1, 2), (2, 3), (3, 4), (1, 4)])
-    assert reduced_homology_dims(cx) == [0, 0, 1]
-    assert reduced_homology_dims(cx, FieldSpec(5)) == [0, 0, 1]
+    cx = from_faces([(1, 2), (2, 3), (3, 4), (1, 4)])
+    assert reduced_homology(cx) == [0, 0, 1]
+    assert reduced_homology(cx, 5) == [0, 0, 1]
 
 
 def test_homology_projective_plane_depends_on_characteristic():
-    # Minimal 6-vertex triangulation of the projective plane: homology with
-    # GF(2) coefficients differs from GF(3), so the field matters end to end.
-    triangles = [
-        (1, 2, 5), (1, 2, 6), (1, 3, 4), (1, 3, 6), (1, 4, 5),
-        (2, 3, 4), (2, 3, 5), (2, 4, 6), (3, 5, 6), (4, 5, 6),
-    ]
-    cx = SimplicialComplexFaces.from_faces(triangles)
-    assert reduced_homology_dims(cx, FieldSpec(2)) == [0, 0, 1, 1]
-    assert reduced_homology_dims(cx, FieldSpec(3)) == [0, 0, 0, 0]
+    cx = from_faces(RP2_TRIANGLES)
+    assert reduced_homology(cx, 2) == [0, 0, 1, 1]
+    assert reduced_homology(cx, 3) == [0, 0, 0, 0]
 
 
 # ---------------------------------------------------------------- upper Koszul
@@ -171,44 +145,31 @@ def test_homology_projective_plane_depends_on_characteristic():
 
 def test_upper_koszul_anchor():
     i = ideal(["x1*x2", "x2*x3"], 3)
-    cx = upper_koszul_complex(i, m("x1*x2*x3", 3))
-    assert cx.vertices == (1, 3)
-    assert cx.faces == (((),), ((1,), (3,)))
-    assert reduced_homology_dims(cx) == [0, 1]
+    b = m("x1*x2*x3", 3)
+    cx = koszul_by_definition(i, b)
+    assert cx == {(), (1,), (3,)}
+    assert koszul_by_fast_path(i, b) == cx
+    assert reduced_homology(cx) == [0, 1]
 
 
 def test_upper_koszul_at_generator():
     i = ideal(["x1*x2", "x2*x3"], 3)
-    cx = upper_koszul_complex(i, m("x1*x2", 3))
-    assert cx.faces == (((),),)
-    assert reduced_homology_dims(cx) == [1]
+    cx = koszul_by_definition(i, m("x1*x2", 3))
+    assert cx == {()}
+    assert reduced_homology(cx) == [1]
 
 
 def test_upper_koszul_outside_ideal_is_void():
     i = ideal(["x1*x2", "x2*x3"], 3)
-    assert upper_koszul_complex(i, m("x1", 3)).is_void
-    assert upper_koszul_complex(MonomialIdeal(3, ()), m("x1", 3)).is_void
+    assert koszul_by_definition(i, m("x1", 3)) == set()
+    assert koszul_by_fast_path(i, m("x1", 3)) == set()
+    assert koszul_by_definition(MonomialIdeal(3, ()), m("x1", 3)) == set()
 
 
 def test_upper_koszul_off_lattice_degree_is_contractible():
     i = ideal(["x1*x2", "x2*x3"], 3)
-    cx = upper_koszul_complex(i, m("x1^2*x2", 3))
-    assert reduced_homology_dims(cx) == [0, 0]
-
-
-def koszul_by_definition(i: MonomialIdeal, b: Monomial) -> SimplicialComplexFaces:
-    """Faces sigma within supp(b) with x^b / x^sigma in I, by enumeration."""
-    supp = [j for j, e in enumerate(b.exponents) if e]
-    faces = []
-    for r in range(len(supp) + 1):
-        for sigma in itertools.combinations(supp, r):
-            quot = [e - (j in sigma) for j, e in enumerate(b.exponents)]
-            if any(
-                all(g <= e for g, e in zip(gen.exponents, quot))
-                for gen in i.generators
-            ):
-                faces.append(tuple(j + 1 for j in sigma))
-    return SimplicialComplexFaces.from_faces(faces)
+    cx = koszul_by_definition(i, m("x1^2*x2", 3))
+    assert reduced_homology(cx) == [0, 0]
 
 
 def test_upper_koszul_matches_definition():
@@ -223,7 +184,7 @@ def test_upper_koszul_matches_definition():
         ]
         for exps in degrees:
             b = Monomial(exps)
-            assert upper_koszul_complex(i, b) == koszul_by_definition(i, b)
+            assert koszul_by_fast_path(i, b) == koszul_by_definition(i, b)
 
 
 @settings(max_examples=40, deadline=None)
@@ -233,14 +194,9 @@ def test_upper_koszul_matches_definition():
 )
 def test_upper_koszul_matches_definition_on_random_ideals(gens, b):
     i = minimalize([Monomial(g) for g in gens], ambient=4)
-    assert upper_koszul_complex(i, Monomial(b)) == koszul_by_definition(
+    assert koszul_by_fast_path(i, Monomial(b)) == koszul_by_definition(
         i, Monomial(b)
     )
-
-
-def test_upper_koszul_ambient_mismatch():
-    with pytest.raises(AmbientMismatchError):
-        upper_koszul_complex(ideal(["x1*x2"], 3), m("x1", 4))
 
 
 # ---------------------------------------------------------------- lcm lattice
@@ -263,6 +219,21 @@ def test_lcm_lattice_cap():
         lcm_lattice(i, cap=2)
 
 
+def test_lcm_lattice_wide_ideal_uses_python_int_codes():
+    # base 2 and 62 variables: codes reach 2^62 and leave int64.
+    g1, g2 = Monomial((1,) * 31 + (0,) * 31), Monomial((0,) * 31 + (1,) * 31)
+    assert lcm_lattice(minimalize([g1, g2])) == [g2, g1, Monomial((1,) * 62)]
+    rng = random.Random(11)
+    for _ in range(10):
+        ambient = rng.randint(40, 70)
+        i = minimalize([
+            Monomial(tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(ambient)))
+            for _ in range(rng.randint(1, 5))
+        ])
+        got = [b.exponents for b in lcm_lattice(i)]
+        assert got == sorted(lcm_lattice_by_definition(i))
+
+
 def test_lcm_lattice_closed_under_joins():
     i = power(6, 2, 2)
     lat = {g.exponents for g in lcm_lattice(i)}
@@ -270,6 +241,9 @@ def test_lcm_lattice_closed_under_joins():
     for a in pts[:20]:
         for b in pts[:20]:
             assert tuple(np.maximum(a, b)) in lat
+    for i in [power(6, 2, 2)] + [ideal(g, a) for g, a in OFF_PATH_IDEALS]:
+        got = [b.exponents for b in lcm_lattice(i)]
+        assert got == sorted(lcm_lattice_by_definition(i))
 
 
 # ---------------------------------------------------------------- Betti tables
@@ -341,47 +315,71 @@ def test_betti_matches_public_route_on_path_powers():
             assert fast.entries == betti_via_public_route(i, p)
 
 
+def test_betti_unit_ideal():
+    # K^0 = {empty face} has H~_{-1} = 1, so (1) is resolved by R itself.
+    for zero in ((), (0, 0)):
+        i = minimalize([Monomial(zero)])
+        for p in (2, 3):
+            assert betti_table(i, FieldSpec(p)).entries == {(0, zero): 1}
+            assert betti_via_public_route(i, p) == {(0, zero): 1}
+
+
+def test_betti_stanley_reisner_projective_plane():
+    # By Hochster's formula, beta_{i, x1...x6}(I) = dim H~_{4-i}(RP^2).
+    faces = from_faces(RP2_TRIANGLES)
+    i = minimalize([
+        Monomial(tuple(int(v in sigma) for v in range(1, 7)))
+        for sigma in from_faces([range(1, 7)]) - faces
+    ])
+    top = (1,) * 6
+    gf2, gf3 = betti_table(i, FieldSpec(2)), betti_table(i, FieldSpec(3))
+    assert gf2.entries[(2, top)] == gf2.entries[(3, top)] == 1
+    assert (2, top) not in gf3.entries and (3, top) not in gf3.entries
+    assert gf2.totals() == {0: 10, 1: 15, 2: 7, 3: 1}
+    assert gf3.totals() == {0: 10, 1: 15, 2: 6}
+    for p, table in ((2, gf2), (3, gf3)):
+        assert table.entries == betti_via_public_route(i, p)
+
+
 def test_betti_lattice_cap():
     with pytest.raises(SizeCapExceededError):
         betti_table(power(6, 2, 2), lattice_cap=5)
 
 
 def test_quotient_helpers_reject_zero_ideal():
-    z = MonomialIdeal(3, ())
+    table = betti_table(MonomialIdeal(3, ()))
     with pytest.raises(ValueError):
-        regularity_of_quotient(z)
+        table.quotient_regularity()
     with pytest.raises(ValueError):
-        projective_dimension_of_quotient(z)
+        table.quotient_projective_dimension()
 
 
 def test_regularity_anchors():
-    assert regularity_of_quotient(ideal(["x1*x2", "x2*x3"], 3)) == 1
-    assert regularity_of_quotient(ideal(["x1"], 3)) == 0
-    assert regularity_of_quotient(power(4, 2, 2)) == 3
+    assert betti_table(ideal(["x1*x2", "x2*x3"], 3)).quotient_regularity() == 1
+    assert betti_table(ideal(["x1"], 3)).quotient_regularity() == 0
+    assert betti_table(power(4, 2, 2)).quotient_regularity() == 3
 
 
 def test_projective_dimension_anchors():
-    assert projective_dimension_of_quotient(ideal(["x1*x2", "x2*x3"], 3)) == 2
-    assert projective_dimension_of_quotient(ideal(["x1"], 3)) == 1
-    assert projective_dimension_of_quotient(power(5, 3, 2)) == 3
+    edges = ideal(["x1*x2", "x2*x3"], 3)
+    assert betti_table(edges).quotient_projective_dimension() == 2
+    assert betti_table(ideal(["x1"], 3)).quotient_projective_dimension() == 1
+    assert betti_table(power(5, 3, 2)).quotient_projective_dimension() == 3
 
 
-def test_has_linear_resolution_anchors(caplog):
-    assert has_linear_resolution(power(5, 3, 1))
-    assert not has_linear_resolution(power(7, 3, 1))
-    assert has_linear_resolution(MonomialIdeal(3, ()))
-    with caplog.at_level("WARNING"):
-        assert not has_linear_resolution(ideal(["x1", "x2*x3"], 3))
-    assert "mixed" in caplog.text
+def test_has_linear_resolution_anchors():
+    assert betti_table(power(5, 3, 1)).is_linear()
+    assert not betti_table(power(7, 3, 1)).is_linear()
+    assert not betti_table(ideal(["x1", "x2*x3"], 3)).is_linear()
 
 
 def test_field_stability_on_a_nonlinear_case():
     i = power(7, 3, 1)
     for p in (2, 3):
-        fs = FieldSpec(p)
-        assert regularity_of_quotient(i, fs) == 4
-        assert projective_dimension_of_quotient(i, fs) == 3
-        assert not has_linear_resolution(i, fs)
+        table = betti_table(i, FieldSpec(p))
+        assert table.quotient_regularity() == 4
+        assert table.quotient_projective_dimension() == 3
+        assert not table.is_linear()
 
 
 def test_fieldspec_requires_prime():
@@ -456,6 +454,4 @@ small_monomial = st.tuples(*([st.integers(0, 2)] * 4)).map(Monomial)
 @given(st.lists(small_monomial, min_size=1, max_size=4), st.sampled_from([2, 3]))
 def test_fast_table_matches_public_route_on_random_ideals(gens, p):
     i = minimalize(gens, ambient=4)
-    if i.is_zero() or any(g.is_unit() for g in i.generators):
-        return
     assert betti_table(i, FieldSpec(p)).entries == betti_via_public_route(i, p)

@@ -14,7 +14,6 @@ from pathideal.monomials import (
     ideal_power,
     minimalize,
     mono_pow,
-    parse_monomial,
 )
 from pathideal.path_ideals import (
     Composition,
@@ -26,10 +25,7 @@ from pathideal.path_ideals import (
     path_ideal,
     power_generators,
 )
-
-
-def m(text: str, ambient: int):
-    return parse_monomial(text, ambient)
+from support import m
 
 
 # ---------------------------------------------------------------- specs

@@ -141,10 +141,23 @@ def test_broken_cell_gives_fail_row(tmp_path, monkeypatch):
     assert len(census) == 1
     row = census[0]
     assert row.status == "fail"
-    assert "colon 2 disagrees" in row.oracle
+    assert row.oracle == "ColonFormMismatchError: colon 2 disagrees with its closed form"
     assert row.repro == "pathideal check --n 3 --t 2 --power 1 --mode quotients"
+    quotients = next(r for r in report.rows if r.quantity == "linear_quotients")
+    assert quotients.oracle == "closed-form mismatch: colon 2 disagrees with its closed form"
     assert report.summary["fail"] == 2  # linear_quotients and s_k_census
     assert any(r.quantity == "reg" and r.status == "pass" for r in report.rows)
+
+
+def test_linear_quotients_check_runs_once_per_cell(tmp_path, monkeypatch):
+    calls, real = [], verify_mod.linear_quotients_check
+    monkeypatch.setattr(
+        verify_mod, "linear_quotients_check",
+        lambda spec, s: calls.append((spec.n, spec.t, s)) or real(spec, s),
+    )
+    cfg = tiny_config(tmp_path / "cache", jobs=1)
+    assert run_sweep(cfg).summary["fail"] == 0
+    assert sorted(calls) == [c for c in sweep_cells(cfg) if c[1] <= c[0] <= 2 * c[1]]
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
@@ -240,6 +253,11 @@ def test_cache_evicts_corrupt_entries(tmp_path):
     assert cache.misses == 2
     # the eviction recomputed and re-stored a valid entry
     assert json.loads(victim.read_text(encoding="utf-8"))["key"] == key
+    # valid JSON that is not an object is evicted the same way
+    victim.write_text("[1]", encoding="utf-8")
+    assert cache.lookup(key) is None
+    assert not victim.exists()
+    assert cache.misses == 3
 
 
 def test_cache_rejects_swapped_entries(tmp_path):
@@ -550,8 +568,9 @@ def test_cli_broken_pipe_exits_quietly():
         "sys.exit(main(['power', '--n', '9', '--t', '2', '-s', '6', '--json']))"
     )
     cmd = f"{shlex.quote(sys.executable)} -c {shlex.quote(script)} | head -c 64"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
-        ["sh", "-c", cmd], capture_output=True, text=True, timeout=60
+        ["sh", "-c", cmd], capture_output=True, text=True, timeout=60, env=env
     )
     assert proc.returncode == 0
     assert len(proc.stdout) == 64
