@@ -1,19 +1,25 @@
 """Command-line interface: inspect ideals, run the oracle, sweep and report.
 
-Subcommands:
-  gens     minimal generators of I_t(L_n)^s
-  power    compositions of s labelling those generators
-  betti    brute-force Betti table of I_t(L_n)^s over GF(p)
-  reg      closed-form regularity next to the oracle value
-  check    linear-quotient / quasi-linearity certificates and witnesses
-  formula  closed-form evaluators (reg, betti, pd, gamma)
-  verify   full sweep; nonzero exit iff any cell failed
+Subcommands, and the flags each reads besides its cell (--n --t --power):
+  gens     minimal generators of I_t(L_n)^s                    --json
+  power    compositions of s labelling those generators        --json
+  betti    brute-force Betti table of I_t(L_n)^s over GF(p)    --char --cache --json
+  reg      closed-form regularity next to the oracle value     --char --cache --json
+  check    linear-quotient / quasi-linearity certificates      --mode --json
+  formula  closed-form evaluators (reg, betti, pd, gamma)      --i --json
+  verify   full sweep; nonzero exit iff any cell failed        --char --cache --json
+           --config --out --csv, and --<field> for every other SweepConfig
+           field (--t-min, --n-max, --jobs, --power-cap, ...)
   table    re-emit a stored verification report as csv or json
+
+verify --config FILE reads a JSON object whose keys are SweepConfig field
+names, the same object every report stores under "config"; flags override it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,113 +28,15 @@ from pathlib import Path
 from ._version import __version__
 from .cache import BettiCache, cached_betti_table
 from .errors import PathIdealError
-from .formulas import (
-    betti_closed_form,
-    gamma,
-    pd_closed_form,
-    reg_power,
-)
-from .linearity import (
-    QuotientCertificate,
-    linear_quotients_check,
-    quasi_linear_check,
-    quasi_linear_witness,
-)
-from .monomials import MonomialIdeal, format_monomial, ideal_power
-from .oracle import FieldSpec
-from .path_ideals import PathIdealSpec, path_ideal, power_generators
-from .verify import SweepConfig, emit_table, run_sweep, sweep_cells
+from .formulas import betti_closed_form, gamma, pd_closed_form, reg_power
+from .linearity import (QuotientCertificate, linear_quotients_check,
+                        quasi_linear_check, quasi_linear_witness)
+from .monomials import MonomialIdeal, format_monomial, minimalize
+from .oracle import BettiTable, FieldSpec
+from .path_ideals import PathIdealSpec, power_generators
+from .verify import SweepConfig, VerificationReport, emit_table, run_sweep, sweep_cells
 
 __all__ = ["main", "build_parser"]
-
-_SWEEP_KEYS = (
-    "t_min",
-    "t_max",
-    "n_min",
-    "n_max",
-    "s_min",
-    "s_max",
-    "deep_n_max",
-    "chars",
-    "power_cap",
-    "lattice_cap",
-    "augmented_s_max",
-    "jobs",
-    "cache_dir",
-)
-
-
-def _parse_config_value(raw: str):
-    raw = raw.strip()
-    if len(raw) >= 2 and raw[0] == raw[-1] and raw[0] in "\"'":
-        return raw[1:-1]
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if "," in raw:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-    try:
-        return int(raw)
-    except ValueError:
-        return raw
-
-
-def load_config_file(path: str) -> dict:
-    """Read key = value lines; # starts a comment, unknown keys are errors."""
-    values: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise PathIdealError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, raw = line.partition("=")
-        key = key.strip()
-        if not sep or not key:
-            raise PathIdealError(f"{path}:{lineno}: expected key = value")
-        if key not in _SWEEP_KEYS:
-            raise PathIdealError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _parse_config_value(raw)
-    return values
-
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--char",
-        type=int,
-        default=None,
-        metavar="P",
-        help="field characteristic for oracle runs (default 2)",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="DIR",
-        help="Betti cache directory (default $PATHIDEAL_CACHE or .pathideal-cache)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="W",
-        help="parallel workers for sweeps (default 1)",
-    )
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="emit JSON instead of text; to stdout when no path is given",
-    )
-    parser.add_argument(
-        "--config",
-        default=None,
-        metavar="FILE",
-        help="key = value config file; command-line flags override it",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,99 +47,62 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cell_args(p, power_default=None):
+    def oracle_flags(p, char_default):
+        p.add_argument("--char", type=int, default=char_default, metavar="P",
+                       help="field characteristic for oracle runs (default 2)")
+        p.add_argument("--cache", dest="cache_dir", metavar="DIR", help="Betti cache "
+                       "directory (default $PATHIDEAL_CACHE or .pathideal-cache)")
+
+    def json_flag(p):
+        p.add_argument("--json", nargs="?", const="-", metavar="PATH", help="emit JSON "
+                       "instead of text; to stdout when no path is given")
+
+    cmd = {}
+    for name, func, summary in (
+        ("gens", _cmd_gens, "minimal generators of I_t(L_n)^s"),
+        ("power", _cmd_gens, "compositions labelling the power generators"),
+        ("betti", _cmd_betti, "brute-force Betti table over GF(p)"),
+        ("reg", _cmd_reg, "closed-form vs oracle regularity"),
+        ("check", _cmd_check, "linear-quotient and quasi-linearity checks"),
+        ("formula", _cmd_formula, "closed-form evaluators"),
+    ):
+        p = cmd[name] = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--n", type=int, required=True, help="vertex count")
         p.add_argument("--t", type=int, required=True, help="path length")
-        if power_default is not None:
-            p.add_argument(
-                "--power", "-s", type=int, default=power_default, help="power s"
-            )
-        else:
-            p.add_argument("--power", "-s", type=int, required=True, help="power s")
-
-    p_gens = sub.add_parser("gens", help="minimal generators of I_t(L_n)^s")
-    cell_args(p_gens, power_default=1)
-    _common_flags(p_gens)
-    p_gens.set_defaults(func=_cmd_gens)
-
-    p_power = sub.add_parser(
-        "power", help="compositions labelling the power generators"
-    )
-    cell_args(p_power)
-    _common_flags(p_power)
-    p_power.set_defaults(func=_cmd_power)
-
-    p_betti = sub.add_parser("betti", help="brute-force Betti table over GF(p)")
-    cell_args(p_betti, power_default=1)
-    _common_flags(p_betti)
-    p_betti.set_defaults(func=_cmd_betti)
-
-    p_reg = sub.add_parser("reg", help="closed-form vs oracle regularity")
-    cell_args(p_reg, power_default=1)
-    _common_flags(p_reg)
-    p_reg.set_defaults(func=_cmd_reg)
-
-    p_check = sub.add_parser(
-        "check", help="linear-quotient and quasi-linearity checks"
-    )
-    cell_args(p_check, power_default=1)
-    p_check.add_argument(
-        "--mode",
-        choices=("quotients", "quasi", "both"),
-        default="both",
-        help="which check to run",
-    )
-    _common_flags(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_formula = sub.add_parser("formula", help="closed-form evaluators")
-    p_formula.add_argument(
-        "which", choices=("reg", "betti", "pd", "gamma"), help="formula to evaluate"
-    )
-    p_formula.add_argument("--n", type=int, required=True)
-    p_formula.add_argument("--t", type=int, required=True)
-    p_formula.add_argument("--power", "-s", type=int, default=None)
-    p_formula.add_argument("--i", type=int, default=None, help="homological index")
-    _common_flags(p_formula)
-    p_formula.set_defaults(func=_cmd_formula)
+        # power needs --power; formula says which of its formulas need one
+        p.add_argument("--power", "-s", type=int, required=name == "power",
+                       default=None if name == "formula" else 1, help="power s")
+        json_flag(p)
+    for name in ("betti", "reg"):
+        oracle_flags(cmd[name], char_default=2)
+    cmd["check"].add_argument("--mode", choices=("quotients", "quasi", "both"),
+                              default="both", help="which check to run")
+    cmd["formula"].add_argument("which", choices=_FORMULAS, help="formula to evaluate")
+    cmd["formula"].add_argument("--i", type=int, help="homological index")
 
     p_verify = sub.add_parser("verify", help="run the verification sweep")
-    p_verify.add_argument("--t-min", dest="t_min", type=int, default=None)
-    p_verify.add_argument("--t-max", dest="t_max", type=int, default=None)
-    p_verify.add_argument("--n-min", dest="n_min", type=int, default=None)
-    p_verify.add_argument("--n-max", dest="n_max", type=int, default=None)
-    p_verify.add_argument("--s-min", dest="s_min", type=int, default=None)
-    p_verify.add_argument("--s-max", dest="s_max", type=int, default=None)
-    p_verify.add_argument(
-        "--deep-n-max",
-        dest="deep_n_max",
-        type=int,
-        default=None,
-        help="largest n for cells with s >= 3",
-    )
-    p_verify.add_argument(
-        "--augmented-s-max", dest="augmented_s_max", type=int, default=None
-    )
-    p_verify.add_argument("--power-cap", dest="power_cap", type=int, default=None)
-    p_verify.add_argument(
-        "--lattice-cap", dest="lattice_cap", type=int, default=None
-    )
-    p_verify.add_argument(
-        "--out", default=None, metavar="PATH", help="write the JSON report here"
-    )
-    p_verify.add_argument(
-        "--csv", default=None, metavar="PATH", help="write the CSV table here"
-    )
-    _common_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
+    # --char and --cache set chars and cache_dir; every other SweepConfig field
+    # is an int and gets a flag of its own.
+    for field in dataclasses.fields(SweepConfig):
+        if field.name not in ("chars", "cache_dir"):
+            p_verify.add_argument(
+                "--" + field.name.replace("_", "-"), type=int, metavar="N",
+                help=f"SweepConfig.{field.name} (default {field.default})")
+    # unset by default, so that it does not override a config file's chars
+    oracle_flags(p_verify, char_default=None)
+    p_verify.add_argument("--config", metavar="FILE", help="JSON object of "
+                          "SweepConfig fields; command-line flags override it")
+    p_verify.add_argument("--out", metavar="PATH", help="write the JSON report here")
+    p_verify.add_argument("--csv", metavar="PATH", help="write the CSV table here")
+    json_flag(p_verify)
 
     p_table = sub.add_parser("table", help="re-emit a stored report")
+    p_table.set_defaults(func=_cmd_table)
     p_table.add_argument("--report", required=True, metavar="PATH")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument("--out", default=None, metavar="PATH")
-    _common_flags(p_table)
-    p_table.set_defaults(func=_cmd_table)
-
+    p_table.add_argument("--out", metavar="PATH")
     return parser
 
 
@@ -246,111 +117,67 @@ def _emit_json(obj, dest: str) -> None:
             raise PathIdealError(f"cannot write {dest}: {exc}") from exc
 
 
-def _field(args) -> FieldSpec:
-    return FieldSpec(args.char if args.char is not None else 2)
-
-
-def _build_power(args) -> MonomialIdeal:
+def _pairs(args) -> list:
+    """(composition, generator) pairs of I_t(L_n)^s; none for the zero ideal."""
     spec = PathIdealSpec(args.n, args.t)
-    base = path_ideal(spec)
-    if base.is_zero() or args.power == 1:
-        return base
-    return ideal_power(base, args.power)
+    return power_generators(spec, args.power) if spec.num_generators else []
+
+
+def _power_ideal(args) -> MonomialIdeal:
+    return minimalize([m for _, m in _pairs(args)], ambient=args.n)
+
+
+def _betti_table(args) -> BettiTable:
+    cache = BettiCache(args.cache_dir)
+    return cached_betti_table(_power_ideal(args), FieldSpec(args.char), cache)
 
 
 def _cmd_gens(args) -> int:
-    ideal = _build_power(args)
+    """gens prints the generators; power labels each with its composition."""
+    pairs = _pairs(args)
+    labelled = args.command == "power"
     if args.json:
-        _emit_json(
-            {
-                "n": args.n,
-                "t": args.t,
-                "power": args.power,
-                "ambient": ideal.ambient,
-                "generators": [list(g.exponents) for g in ideal.generators],
-            },
-            args.json,
-        )
-        return 0
-    if ideal.is_zero():
-        print("(0)")
-        return 0
-    if args.n >= args.t:
-        ordered = [m for _, m in power_generators(PathIdealSpec(args.n, args.t), args.power)]
-    else:
-        ordered = list(ideal.generators)
-    for g in ordered:
-        print(format_monomial(g))
-    return 0
-
-
-def _cmd_power(args) -> int:
-    spec = PathIdealSpec(args.n, args.t)
-    if spec.num_generators == 0:
-        if args.json:
-            _emit_json({"n": args.n, "t": args.t, "power": args.power,
-                        "generators": []}, args.json)
+        payload: dict = {"n": args.n, "t": args.t, "power": args.power}
+        if labelled:
+            payload["generators"] = [
+                {"parts": list(c.parts), "monomial": list(m.exponents)}
+                for c, m in pairs
+            ]
         else:
-            print("(0)")
+            # canonical ideal order: ascending exponent vectors
+            payload["ambient"] = args.n
+            payload["generators"] = sorted(list(m.exponents) for _, m in pairs)
+        _emit_json(payload, args.json)
         return 0
-    pairs = power_generators(spec, args.power)
-    if args.json:
-        _emit_json(
-            {
-                "n": args.n,
-                "t": args.t,
-                "power": args.power,
-                "generators": [
-                    {"parts": list(c.parts), "monomial": list(m.exponents)}
-                    for c, m in pairs
-                ],
-            },
-            args.json,
-        )
-        return 0
+    if not pairs:
+        print("(0)")
     for c, m in pairs:
-        print(f"{c} -> {format_monomial(m)}")
+        print(f"{c} -> {format_monomial(m)}" if labelled else format_monomial(m))
     return 0
 
 
 def _cmd_betti(args) -> int:
-    ideal = _build_power(args)
-    fieldspec = _field(args)
-    cache = BettiCache(args.cache)
-    table = cached_betti_table(ideal, fieldspec, cache)
+    table = _betti_table(args)
     if args.json:
         _emit_json(table.to_dict(), args.json)
-        return 0
-    if table.is_empty():
+    elif table.is_empty():
         print("zero ideal; empty Betti table")
-        return 0
-    print(table)
-    print(f"reg R/I = {table.quotient_regularity()}")
-    print(f"pd  R/I = {table.quotient_projective_dimension()}")
-    print(f"linear resolution: {'yes' if table.is_linear() else 'no'}")
+    else:
+        print(table)
+        print(f"reg R/I = {table.quotient_regularity()}")
+        print(f"pd  R/I = {table.quotient_projective_dimension()}")
+        print(f"linear resolution: {'yes' if table.is_linear() else 'no'}")
     return 0
 
 
 def _cmd_reg(args) -> int:
     formula = reg_power(args.n, args.t, args.power)
-    ideal = _build_power(args)
-    cache = BettiCache(args.cache)
-    table = cached_betti_table(ideal, _field(args), cache)
-    oracle = table.quotient_regularity()
+    oracle = _betti_table(args).quotient_regularity()
     match = formula == oracle
     if args.json:
-        _emit_json(
-            {
-                "n": args.n,
-                "t": args.t,
-                "power": args.power,
-                "char": _field(args).characteristic,
-                "formula": formula,
-                "oracle": oracle,
-                "match": match,
-            },
-            args.json,
-        )
+        payload = {"n": args.n, "t": args.t, "power": args.power, "char": args.char}
+        payload.update(formula=formula, oracle=oracle, match=match)
+        _emit_json(payload, args.json)
     else:
         print(f"formula reg R/I^{args.power} = {formula}")
         print(f"oracle  reg R/I^{args.power} = {oracle}")
@@ -358,142 +185,110 @@ def _cmd_reg(args) -> int:
     return 0 if match else 1
 
 
-def _check_quotients(args) -> tuple[dict, bool]:
-    spec = PathIdealSpec(args.n, args.t)
+def _check_quotients(args) -> tuple[dict, str]:
+    """The linear-quotient check's JSON payload and its line of text."""
+    payload: dict = {"mode": "quotients", "ok": False}
     try:
-        outcome = linear_quotients_check(spec, args.power)
+        outcome = linear_quotients_check(PathIdealSpec(args.n, args.t), args.power)
     except PathIdealError as exc:
-        return {"mode": "quotients", "ok": False, "error": str(exc)}, False
+        payload["error"] = str(exc)
+        return payload, f"linear quotients: ERROR ({exc})"
     if isinstance(outcome, QuotientCertificate):
-        payload = {
-            "mode": "quotients",
-            "ok": True,
-            "order": [list(c.parts) for c in outcome.order],
-            "colon_variables": [sorted(v) for v in outcome.colon_variables],
-            "census": {str(k): v for k, v in outcome.census().items()},
-        }
-        return payload, True
-    payload = {
-        "mode": "quotients",
-        "ok": False,
-        "position": outcome.position,
-        "composition": list(outcome.composition.parts),
-        "offender": format_monomial(outcome.offender),
-    }
-    return payload, False
+        census = {str(k): v for k, v in outcome.census().items()}
+        payload.update(ok=True, order=[list(c.parts) for c in outcome.order],
+                       colon_variables=[sorted(v) for v in outcome.colon_variables],
+                       census=census)
+        return payload, f"linear quotients: yes (census {census})"
+    offender = format_monomial(outcome.offender)
+    payload.update(position=outcome.position, offender=offender,
+                   composition=list(outcome.composition.parts))
+    return payload, ("linear quotients: no "
+                     f"(position {outcome.position}, offender {offender})")
 
 
-def _check_quasi(args) -> tuple[dict, bool]:
-    ideal = _build_power(args)
-    result = quasi_linear_check(ideal)
+def _check_quasi(args) -> tuple[dict, str]:
+    """The quasi-linearity check's JSON payload and its lines of text."""
+    result = quasi_linear_check(_power_ideal(args))
     payload: dict = {"mode": "quasi", "quasi_linear": result.is_quasi_linear}
+    lines = [f"quasi-linear: {'yes' if result.is_quasi_linear else 'no'}"]
     if result.witness is not None:
-        payload["witness"] = {
-            "generator": format_monomial(result.witness[0]),
-            "colon_generator": format_monomial(result.witness[1]),
-        }
+        generator, colon_generator = map(format_monomial, result.witness)
+        payload["witness"] = {"generator": generator,
+                              "colon_generator": colon_generator}
+        lines.append(f"  witness: colon into {generator} "
+                     f"has non-variable generator {colon_generator}")
     if args.n >= 2 * args.t + 1:
         w = quasi_linear_witness(PathIdealSpec(args.n, args.t), args.power)
-        payload["break"] = {
-            "excluded": format_monomial(w.excluded),
-            "colon": [format_monomial(g) for g in w.colon_generators],
-            "variable": f"x{w.variable}",
-            "facts_ok": w.valid,
-        }
-    return payload, True
+        excluded = format_monomial(w.excluded)
+        colon = [format_monomial(g) for g in w.colon_generators]
+        payload["break"] = {"excluded": excluded, "colon": colon,
+                            "variable": f"x{w.variable}", "facts_ok": w.valid}
+        lines.append(f"  top-generator break: J : {excluded} = ({', '.join(colon)}); "
+                     f"unique variable x{w.variable}; "
+                     f"facts {'hold' if w.valid else 'VIOLATED'}")
+    return payload, "\n".join(lines)
 
 
 def _cmd_check(args) -> int:
-    sections = []
-    ok = True
-    if args.mode in ("quotients", "both"):
-        payload, good = _check_quotients(args)
-        sections.append(payload)
-        ok = ok and good
-    if args.mode in ("quasi", "both"):
-        payload, good = _check_quasi(args)
-        sections.append(payload)
-        ok = ok and good
+    sections = [check(args) for mode, check in
+                (("quotients", _check_quotients), ("quasi", _check_quasi))
+                if args.mode in (mode, "both")]
+    payloads = [payload for payload, _ in sections]
     if args.json:
-        _emit_json(sections if len(sections) > 1 else sections[0], args.json)
-        return 0
-    for payload in sections:
-        if payload["mode"] == "quotients":
-            if payload.get("ok"):
-                print(f"linear quotients: yes (census {payload['census']})")
-            elif "error" in payload:
-                print(f"linear quotients: ERROR ({payload['error']})")
-            else:
-                print(
-                    "linear quotients: no "
-                    f"(position {payload['position']}, offender {payload['offender']})"
-                )
-        else:
-            verdict = "yes" if payload["quasi_linear"] else "no"
-            print(f"quasi-linear: {verdict}")
-            if "witness" in payload:
-                w = payload["witness"]
-                print(
-                    f"  witness: colon into {w['generator']} "
-                    f"has non-variable generator {w['colon_generator']}"
-                )
-            if "break" in payload:
-                b = payload["break"]
-                print(
-                    f"  top-generator break: J : {b['excluded']} = "
-                    f"({', '.join(b['colon'])}); unique variable {b['variable']}; "
-                    f"facts {'hold' if b['facts_ok'] else 'VIOLATED'}"
-                )
+        _emit_json(payloads if len(payloads) > 1 else payloads[0], args.json)
+    else:
+        for _, text in sections:
+            print(text)
     return 0
 
 
+# formula name -> its evaluator and the options it takes after --n and --t
+_FORMULAS = {
+    "reg": (reg_power, ("power",)),
+    "betti": (betti_closed_form, ("power", "i")),
+    "pd": (pd_closed_form, ("power",)),
+    "gamma": (gamma, ()),
+}
+
+
 def _cmd_formula(args) -> int:
-    which = args.which
-    inputs: dict = {"n": args.n, "t": args.t}
-    if which == "gamma":
-        value = gamma(args.n, args.t)
-    elif which == "reg":
-        if args.power is None:
-            raise PathIdealError("formula reg needs --power")
-        value = reg_power(args.n, args.t, args.power)
-        inputs["power"] = args.power
-    elif which == "pd":
-        if args.power is None:
-            raise PathIdealError("formula pd needs --power")
-        value = pd_closed_form(args.n, args.t, args.power)
-        inputs["power"] = args.power
-    else:  # betti
-        if args.power is None or args.i is None:
-            raise PathIdealError("formula betti needs --power and --i")
-        value = betti_closed_form(args.n, args.t, args.power, args.i)
-        inputs["power"] = args.power
-        inputs["i"] = args.i
+    evaluate, options = _FORMULAS[args.which]
+    inputs = {"n": args.n, "t": args.t}
+    inputs.update((name, getattr(args, name)) for name in options)
+    if None in inputs.values():
+        needs = " and ".join(f"--{name}" for name in options)
+        raise PathIdealError(f"formula {args.which} needs {needs}")
+    value = evaluate(*inputs.values())
     if args.json:
-        _emit_json({"formula": which, "inputs": inputs, "value": value}, args.json)
+        _emit_json({"formula": args.which, "inputs": inputs, "value": value}, args.json)
     else:
         print(value)
     return 0
 
 
 def _sweep_config(args) -> SweepConfig:
+    """The config file's values overridden by the flags."""
+    names = {field.name for field in dataclasses.fields(SweepConfig)}
     values: dict = {}
     if args.config:
-        values.update(load_config_file(args.config))
-    for key in _SWEEP_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+        try:
+            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise PathIdealError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(values, dict):
+            raise PathIdealError(f"config {args.config} is not a JSON object")
+        unknown = ", ".join(sorted(set(values) - names))
+        if unknown:
+            raise PathIdealError(f"config {args.config}: unknown key(s) {unknown}")
+    values.update(
+        (name, value) for name, value in vars(args).items()
+        if name in names and value is not None
+    )
     if args.char is not None:
         values["chars"] = (args.char,)
-    if args.jobs is not None:
-        values["jobs"] = args.jobs
-    if args.cache is not None:
-        values["cache_dir"] = args.cache
-    if "chars" in values and isinstance(values["chars"], int):
-        values["chars"] = (values["chars"],)
-    if "chars" in values:
-        values["chars"] = tuple(values["chars"])
     try:
+        if "chars" in values:
+            values["chars"] = tuple(values["chars"])  # a list in JSON
         return SweepConfig(**values)
     except (TypeError, ValueError) as exc:
         raise PathIdealError(f"bad sweep configuration: {exc}") from exc
@@ -502,29 +297,21 @@ def _sweep_config(args) -> SweepConfig:
 def _cmd_verify(args) -> int:
     cfg = _sweep_config(args)
     report = run_sweep(cfg)
-    if args.out:
-        emit_table(report, "json", args.out)
-    if args.csv:
-        emit_table(report, "csv", args.csv)
-    if args.json:
-        text = report.to_json()
-        if args.json == "-":
-            print(text)
-        else:
-            Path(args.json).write_text(text + "\n", encoding="utf-8")
-    else:
+    # --json PATH writes the same bytes as --out PATH
+    for fmt, path in (("json", args.out), ("csv", args.csv), ("json", args.json)):
+        if path and path != "-":
+            emit_table(report, fmt, path)
+    if args.json == "-":
+        sys.stdout.write(emit_table(report, "json"))
+    elif not args.json:
         summary = report.summary
-        print(
-            f"cells: {len(sweep_cells(cfg))}  rows: {summary['total']}  "
-            f"pass: {summary['pass']}  fail: {summary['fail']}  "
-            f"skipped: {summary['skipped']}  info: {summary['info']}"
-        )
+        print(f"cells: {len(sweep_cells(cfg))}  rows: {summary['total']}  "
+              f"pass: {summary['pass']}  fail: {summary['fail']}  "
+              f"skipped: {summary['skipped']}  info: {summary['info']}")
         for row in report.failures():
-            print(
-                f"FAIL n={row.n} t={row.t} s={row.s} {row.quantity}: "
-                f"formula {row.formula!r}, oracle {row.oracle!r}"
-                + (f"  [{row.repro}]" if row.repro else "")
-            )
+            repro = f"  [{row.repro}]" if row.repro else ""
+            print(f"FAIL n={row.n} t={row.t} s={row.s} {row.quantity}: "
+                  f"formula {row.formula!r}, oracle {row.oracle!r}{repro}")
     return 1 if report.failures() else 0
 
 
@@ -533,10 +320,7 @@ def _cmd_table(args) -> int:
         text = Path(args.report).read_text(encoding="utf-8")
     except OSError as exc:
         raise PathIdealError(f"cannot read report {args.report}: {exc}") from exc
-    from .verify import VerificationReport
-
-    report = VerificationReport.from_json(text)
-    rendered = emit_table(report, args.format, args.out)
+    rendered = emit_table(VerificationReport.from_json(text), args.format, args.out)
     if args.out is None:
         sys.stdout.write(rendered)
     return 0
@@ -545,14 +329,10 @@ def _cmd_table(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8", line_buffering=True)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except PathIdealError as exc:
-        print(f"pathideal: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (PathIdealError, ValueError) as exc:
         print(f"pathideal: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

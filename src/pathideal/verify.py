@@ -15,12 +15,12 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable
 
 from ._version import __version__
 from .cache import BettiCache, cached_betti_table
-from .errors import PathIdealError, SizeCapExceededError
+from .errors import ColonFormMismatchError, PathIdealError, SizeCapExceededError
 from .formulas import (
     gamma,
     linear_resolution_predicate,
@@ -91,6 +91,10 @@ class SweepConfig:
     cache_dir: str | None = None
 
     def __post_init__(self):
+        limits = [getattr(self, f.name) for f in fields(self)
+                  if f.name not in ("chars", "cache_dir")]
+        if any(type(v) is not int for v in (*limits, *self.chars) if v is not None):
+            raise ValueError("grid bounds, caps, jobs and chars must be integers")
         if self.t_min < 2:
             raise ValueError("t_min must be >= 2")
         if self.t_max < self.t_min:
@@ -250,6 +254,7 @@ class _CellState:
         )
 
     def quotients(self):
+        self.pairs()  # the cell's power cap skips these rows like the others
         return self._get(
             "quotients", lambda: linear_quotients_check(self.spec, self.s)
         )
@@ -390,7 +395,7 @@ def _cell_rows(cfg: SweepConfig, n: int, t: int, s: int) -> list[Row]:
         def quotients_oracle() -> Any:
             try:
                 outcome = state.quotients()
-            except PathIdealError as exc:
+            except ColonFormMismatchError as exc:
                 return f"closed-form mismatch: {exc}"
             if isinstance(outcome, QuotientCertificate):
                 return True
@@ -430,6 +435,7 @@ def _cell_rows(cfg: SweepConfig, n: int, t: int, s: int) -> list[Row]:
         )
 
         def witness_oracle() -> str:
+            state.pairs()  # the cell's power cap skips this row like the others
             w = quasi_linear_witness(state.spec, s)
             if not w.valid:
                 return "witness facts violated"

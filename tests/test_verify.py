@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,10 +21,11 @@ from pathideal.cache import (
     cached_betti_table,
     resolve_cache_dir,
 )
-from pathideal.cli import load_config_file, main
+from pathideal.cli import _sweep_config, build_parser, main
 from pathideal.errors import ColonFormMismatchError, PathIdealError
 from pathideal.monomials import minimalize, parse_monomial
 from pathideal.oracle import GF2, BettiTable, FieldSpec
+from pathideal.path_ideals import composition_count
 from pathideal.verify import (
     CSV_COLUMNS,
     Row,
@@ -75,6 +78,10 @@ def test_config_validation():
         SweepConfig(chars=(4,))
     with pytest.raises(ValueError):
         SweepConfig(jobs=0)
+    # a JSON config file can hold floats, bools and strings
+    for bad in ({"jobs": 1.5}, {"lattice_cap": 2.5}, {"jobs": True}, {"chars": ("2",)}):
+        with pytest.raises(ValueError, match="must be integers"):
+            SweepConfig(**bad)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -103,7 +110,7 @@ def test_sweep_covers_secondary_characteristic(tmp_path):
 
 
 def test_sweep_marks_capped_cells_skipped(tmp_path):
-    cfg = tiny_config(tmp_path / "cache", power_cap=2)
+    cfg = tiny_config(tmp_path / "cache", n_max=5, power_cap=2)
     report = run_sweep(cfg)
     skipped = [r for r in report.rows if r.status == "skipped"]
     assert skipped and report.summary["skipped"] == len(skipped)
@@ -111,6 +118,18 @@ def test_sweep_marks_capped_cells_skipped(tmp_path):
     # (2,2,s) has a single path, so it stays under the cap and still passes
     assert any(r.status == "pass" for r in report.rows if (r.n, r.t) == (2, 2))
     assert report.summary["fail"] == 0
+    # every row of a cell with more than power_cap generators is skipped,
+    # including linear_quotients, s_k_census and quasi_linear_witness
+    capped = {
+        (n, t, s) for (n, t, s) in sweep_cells(cfg)
+        if composition_count(s, n - t + 1) > cfg.power_cap
+    }
+    assert {(3, 2, 2), (4, 2, 2), (5, 2, 2)} <= capped
+    capped_rows = [r for r in report.rows if (r.n, r.t, r.s) in capped]
+    assert {r.quantity for r in capped_rows} >= {
+        "linear_quotients", "s_k_census", "quasi_linear_witness"
+    }
+    assert all(r.status == "skipped" for r in capped_rows)
 
 
 def test_augmented_rows_are_report_only_in_overlap(tmp_path):
@@ -330,39 +349,38 @@ def test_second_sweep_is_served_from_cache(tmp_path, monkeypatch):
 # ---------------------------------------------------------------- config file
 
 
+def write_config(tmp_path, config) -> str:
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return str(path)
+
+
 def test_load_config_file(tmp_path):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(
-        """
-        # comment line
-        t_min = 2
-        t_max = 3          # trailing comment
-        chars = 2,3
-        cache_dir = "/tmp/cache"
-        n_max = 6
-        """,
-        encoding="utf-8",
-    )
-    values = load_config_file(str(cfg))
-    assert values == {
-        "t_min": 2,
-        "t_max": 3,
-        "chars": (2, 3),
-        "cache_dir": "/tmp/cache",
-        "n_max": 6,
-    }
+    path = write_config(tmp_path, {
+        "t_min": 2, "t_max": 3, "chars": [2, 3], "cache_dir": "/tmp/cache",
+        "n_max": 6, "n_min": None,
+    })
+    cfg = _sweep_config(build_parser().parse_args(["verify", "--config", path]))
+    assert cfg == SweepConfig(t_min=2, t_max=3, chars=(2, 3), cache_dir="/tmp/cache",
+                              n_max=6)
 
 
-def test_load_config_file_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("tmax = 3\n", encoding="utf-8")
-    with pytest.raises(PathIdealError):
-        load_config_file(str(cfg))
-    cfg.write_text("t_min 3\n", encoding="utf-8")
-    with pytest.raises(PathIdealError):
-        load_config_file(str(cfg))
-    with pytest.raises(PathIdealError):
-        load_config_file(str(tmp_path / "missing.cfg"))
+def test_load_config_file_rejects_unknown_keys(capsys, tmp_path):
+    path = tmp_path / "sweep.json"
+    for text, message in [
+        ('{"t_max": 3, "tmax": 3, "bogus": 1}', "unknown key(s) bogus, tmax"),
+        ("[1, 2]", "is not a JSON object"),
+        ('"t_min = 2"', "is not a JSON object"),
+        ("t_min = 2\n", "cannot read config"),  # the old key = value format
+        (None, "cannot read config"),  # no such file
+    ]:
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text, encoding="utf-8")
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pathideal: ") and message in err, err
 
 
 # ---------------------------------------------------------------- CLI
@@ -525,25 +543,115 @@ def test_cli_verify_and_table_round_trip(capsys, tmp_path):
 
 
 def test_cli_verify_config_file_with_flag_override(capsys, tmp_path):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("t_min = 2\nt_max = 2\nn_max = 5\ns_max = 1\n", encoding="utf-8")
+    path = write_config(
+        tmp_path, {"t_min": 2, "t_max": 2, "n_max": 5, "s_max": 1, "chars": [2, 3]}
+    )
     out_json = tmp_path / "report.json"
     code, _ = run_cli(
-        capsys, "verify", "--config", str(cfg), "--n-max", "3",
+        capsys, "verify", "--config", path, "--n-max", "3",
         "--cache", str(tmp_path / "cache"), "--out", str(out_json),
     )
     assert code == 0
     report = json.loads(out_json.read_text(encoding="utf-8"))
     assert report["config"]["n_max"] == 3  # flag beat the file
     assert report["config"]["t_max"] == 2
+    assert report["config"]["chars"] == [2, 3]  # no --char: the file's chars stand
+    code, _ = run_cli(
+        capsys, "verify", "--config", path, "--char", "3", "--n-max", "3",
+        "--cache", str(tmp_path / "cache"), "--out", str(out_json),
+    )
+    assert code == 0
+    assert json.loads(out_json.read_text(encoding="utf-8"))["config"]["chars"] == [3]
 
 
 def test_cli_verify_rejects_bad_config(capsys, tmp_path):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("bogus = 1\n", encoding="utf-8")
-    code = main(["verify", "--config", str(cfg)])
+    for config in (
+        {"t_min": 1}, {"chars": 2}, {"chars": [4]}, {"chars": ["2"]},
+        {"n_max": 5.5}, {"jobs": 1.5}, {"jobs": True}, {"deep_n_max": "7"},
+    ):
+        code = main(["verify", "--config", write_config(tmp_path, config)])
+        assert code == 2
+        assert "bad sweep configuration" in capsys.readouterr().err
+
+
+def test_cli_verify_report_config_replays_the_sweep(capsys, tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code, _ = run_cli(
+        capsys, "verify", "--t-min", "2", "--t-max", "3", "--n-max", "5",
+        "--s-max", "2", "--deep-n-max", "4", "--char", "3",
+        "--cache", str(tmp_path / "cache"), "--out", str(first),
+    )
+    assert code == 0
+    config = json.loads(first.read_text(encoding="utf-8"))["config"]
+    code, _ = run_cli(
+        capsys, "verify", "--config", write_config(tmp_path, config),
+        "--out", str(second),
+    )
+    assert code == 0
+    assert VerificationReport.from_json(
+        first.read_text(encoding="utf-8")
+    ).canonical_json() == VerificationReport.from_json(
+        second.read_text(encoding="utf-8")
+    ).canonical_json()
+
+
+def test_cli_verify_json_to_unwritable_path(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "report.json"
+    code = main([
+        "verify", "--t-min", "2", "--t-max", "2", "--n-max", "2", "--s-max", "1",
+        "--cache", str(tmp_path / "cache"), "--json", str(target),
+    ])
     assert code == 2
-    assert "unknown key" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("pathideal: cannot write")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gens", "--n", "5", "--t", "3", "--jobs", "2"],
+        ["power", "--n", "5", "--t", "3", "--power", "2", "--char", "3"],
+        ["betti", "--n", "5", "--t", "3", "--config", "f"],
+        ["check", "--n", "5", "--t", "3", "--cache", "d"],
+        ["formula", "gamma", "--n", "7", "--t", "3", "--jobs", "2"],
+        ["table", "--report", "r.json", "--json"],
+    ],
+)
+def test_cli_rejects_flags_a_command_ignores(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_verify_flags_come_from_sweep_config():
+    args = vars(build_parser().parse_args(["verify"]))
+    for field in dataclasses.fields(SweepConfig):
+        if field.name == "chars":  # set by --char
+            continue
+        assert field.name in args and args[field.name] is None
+        # each flag parses an int, so each such field must hold one
+        assert field.type in ("int", "int | None") or field.name == "cache_dir"
+
+
+def test_readme_cli_examples_parse(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8"
+    )
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for line in section.splitlines()
+        if line.startswith("pathideal ")
+    ]
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on a flag the command does not take
+    # the config example is a valid config file
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    path = write_config(tmp_path, json.loads(example))
+    cfg = _sweep_config(parser.parse_args(["verify", "--config", path]))
+    assert cfg.chars == (2, 3)
 
 
 def test_cli_version(capsys):
