@@ -188,8 +188,11 @@ def _cmd_reg(args) -> int:
 def _check_quotients(args) -> tuple[dict, str]:
     """The linear-quotient check's JSON payload and its line of text."""
     payload: dict = {"mode": "quotients", "ok": False}
+    spec = PathIdealSpec(args.n, args.t)
     try:
-        outcome = linear_quotients_check(PathIdealSpec(args.n, args.t), args.power)
+        if not spec.num_generators:
+            raise PathIdealError(f"zero ideal: n={args.n} < t={args.t}")
+        outcome = linear_quotients_check(spec, args.power)
     except PathIdealError as exc:
         payload["error"] = str(exc)
         return payload, f"linear quotients: ERROR ({exc})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -186,13 +186,16 @@ class MonomialIdeal:
     Generators are pairwise incomparable under divisibility and sorted
     lexicographically by exponent vector.  The zero ideal has no generators.
     Build instances through minimalize() unless the input is already in this
-    canonical form.
+    canonical form, which is checked unless validate is False.
     """
 
     ambient: int
     generators: tuple[Monomial, ...]
+    validate: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, validate: bool):
+        if not validate:
+            return
         if self.ambient < 0:
             raise ValueError("negative ambient")
         seen: set[tuple[int, ...]] = set()
@@ -258,7 +261,8 @@ def minimalize(gens: Iterable[Monomial], ambient: int | None = None) -> Monomial
     by_exps = {g.exponents: g for g in gens}
     ordered = sorted(by_exps)
     kept = [by_exps[e] for e, keep in zip(ordered, _minimal_rows(ordered)) if keep]
-    return MonomialIdeal(amb, tuple(kept))
+    # Sorted, distinct, one ambient and minimal by construction.
+    return MonomialIdeal(amb, tuple(kept), validate=False)
 
 
 def _minimal_rows(exps: list[tuple[int, ...]]) -> list[bool]:

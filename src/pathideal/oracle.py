@@ -4,10 +4,12 @@ The rank of the i-th syzygy module of a monomial ideal I in multidegree b
 equals the dimension of the (i-1)-st reduced homology of the upper Koszul
 complex K^b(I), whose faces are the squarefree subsets sigma of supp(b) with
 x^b / x^sigma in I.  Only multidegrees in the lcm lattice of the generators
-can contribute, so the oracle closes the generator set under pairwise lcms
-and computes homology at every lattice point.  K^b is built from its facets,
-one per generator dividing x^b; homology is taken relative to the closed star
-of one vertex, a cone, which leaves few cells or none.
+can contribute, so the oracle closes the generator set under joins with the
+generators and computes homology at every lattice point whose K^b is not a
+full simplex, one of each mirror pair when the reversal of the variables
+fixes the generators.  K^b is built from its facets, one per generator
+dividing x^b; homology is taken relative to the closed star of one vertex, a
+cone, which leaves few cells or none.
 
 Everything here is exact: GF(2) ranks use integer bitsets, odd primes use
 dense modular Gaussian elimination.  Rational homology is out of scope.
@@ -36,7 +38,9 @@ __all__ = [
     "betti_table",
 ]
 
-# Hard cap on the number of distinct multidegrees visited per ideal.
+# Hard cap on the number of distinct multidegrees visited per ideal.  For
+# lcm_lattice it counts the whole lattice; for betti_table it counts the
+# points its walk keeps, those whose K^b is not a full simplex.
 DEFAULT_LATTICE_CAP = 200_000
 
 # Version of the oracle's answers; cached tables from another version are
@@ -204,8 +208,10 @@ def _full_simplex(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
 
     That makes K^b the full simplex on supp b, hence contractible.  It
     happens when some generator divides x^b / x^supp(b).  At b = 0 the
-    simplex is {empty face}, which is not contractible.
+    simplex is {empty face}, which is not contractible.  Exponents compare
+    in the type of lat.
     """
+    G = G.astype(lat.dtype)
     topped = np.maximum(lat, 1) - 1
     covers = np.ones((lat.shape[0], G.shape[0]), dtype=bool)
     for j in range(G.shape[1]):
@@ -232,8 +238,8 @@ def _face_indicators(facets: np.ndarray, k: int) -> np.ndarray:
 def _koszul_batches(G: np.ndarray, lat: np.ndarray):
     """Yield (b, ind): face indicators of K^b for b in the rows of lat.
 
-    Full simplices are skipped.  The rows of a batch share one support
-    size k, and a batch stays within the byte budget.
+    The rows of a batch share one support size k, and a batch stays within
+    the byte budget.
     """
     # Exponents compare in the narrowest type that holds them.
     small = np.min_scalar_type(max(int(G.max(initial=0)), int(lat.max(initial=0))))
@@ -242,7 +248,6 @@ def _koszul_batches(G: np.ndarray, lat: np.ndarray):
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
     for lo in range(0, lat.shape[0], step):
         part = lat[lo : lo + step].astype(small)
-        part = part[~_full_simplex(G, part)]
         facets = _facet_masks(G, part)
         ks = np.count_nonzero(part, axis=1)
         for k in np.unique(ks).tolist():
@@ -286,33 +291,49 @@ def _star_quotients(ind: np.ndarray):
 # lcm lattice
 # ---------------------------------------------------------------------------
 
-def _lcm_lattice_encoded(G: np.ndarray, cap: int) -> np.ndarray:
+def _lcm_lattice_encoded(G: np.ndarray, cap: int, keep=None) -> np.ndarray:
     """The lcm lattice of the generator rows of G, as rows in lex order.
 
     Rows are coded as base-(max G + 1) numbers with x1 the leading digit, so
     the order of codes is the order of rows.  Codes are int64 when every
     code fits below 2^62, Python ints (dtype object) otherwise.  Each round
     joins the newest points with every generator, a chunk of rows at a time.
+
+    keep, when given, maps a chunk of rows (in the narrowest type that holds
+    the exponents) to a boolean mask; rows it rejects are dropped as soon as
+    they appear and never joined further.  That returns exactly the lattice
+    points keep accepts if the rejected points form an up-set, closed under
+    joining with any generator: every lcm-chain to an accepted point then
+    passes through accepted points only.
     """
     q, n = G.shape
     base = int(G.max(initial=0)) + 1
     dtype = np.int64 if base**n < 2**62 else object
+    small = np.min_scalar_type(base - 1)
     weights = np.array([base**e for e in range(n - 1, -1, -1)], dtype=dtype)
-    seen = np.unique(G @ weights)
-    frontier = seen
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
+
+    def kept(codes):
+        if keep is None or codes.size == 0:
+            return codes
+        return codes[np.concatenate([
+            keep((codes[lo : lo + step, None] // weights % base).astype(small))
+            for lo in range(0, codes.size, step)
+        ])]
+
+    seen = kept(np.unique(G @ weights))
+    frontier = seen
     while frontier.size:
-        rows = frontier[:, None] // weights % base
         fresh = []
-        for lo in range(0, rows.shape[0], step):
-            part = rows[lo : lo + step]
+        for lo in range(0, frontier.size, step):
+            part = frontier[lo : lo + step, None] // weights % base
             codes = np.zeros((part.shape[0], q), dtype=dtype)
             for j in range(n):
                 codes += np.maximum(part[:, j, None], G[:, j]) * weights[j]
             codes = np.unique(codes)
             pos = np.minimum(np.searchsorted(seen, codes), seen.size - 1)
             fresh.append(codes[seen[pos] != codes])
-        frontier = np.unique(np.concatenate(fresh))
+        frontier = kept(np.unique(np.concatenate(fresh)))
         if frontier.size == 0:
             break
         seen = np.union1d(seen, frontier)
@@ -327,7 +348,10 @@ def _lcm_lattice_encoded(G: np.ndarray, cap: int) -> np.ndarray:
 def lcm_lattice(
     ideal: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP
 ) -> list[Monomial]:
-    """All lcms of nonempty generator subsets, as sorted monomials."""
+    """The full lcm lattice: all lcms of nonempty generator subsets, sorted.
+
+    Unlike the walk betti_table makes, nothing is pruned.
+    """
     if ideal.is_zero():
         return []
     G = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
@@ -446,17 +470,37 @@ class BettiTable:
         return "\n".join(lines)
 
 
+def _mirror_half(lat: np.ndarray) -> np.ndarray:
+    """The rows b of lat with b <=_lex rev(b), palindromes included."""
+    rev = lat[:, ::-1]
+    first = (lat != rev).argmax(axis=1)
+    at = np.arange(lat.shape[0])
+    return lat[lat[at, first] <= rev[at, first]]
+
+
 def betti_table(
     ideal: MonomialIdeal,
     fieldspec: FieldSpec = GF2,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> BettiTable:
-    """Full multigraded Betti table of the ideal over GF(p)."""
+    """Full multigraded Betti table of the ideal over GF(p).
+
+    Only lattice points whose K^b is not a full simplex are visited.  When
+    the reversal x_i -> x_{n+1-i} fixes the generators, it maps K^b onto
+    K^{rev b}, so beta_{i,b} = beta_{i,rev b} and one of each pair is
+    computed.
+    """
     p = fieldspec.characteristic
     if ideal.is_zero():
         return BettiTable(ideal.ambient, p, {})
-    G = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
-    lat = _lcm_lattice_encoded(G, lattice_cap)
+    gens = [g.exponents for g in ideal.generators]
+    G = np.array(gens, dtype=np.int64)
+    lat = _lcm_lattice_encoded(
+        G, lattice_cap, keep=lambda rows: ~_full_simplex(G, rows)
+    )
+    mirror = ideal.ambient > 1 and sorted(g[::-1] for g in gens) == gens
+    if mirror:
+        lat = _mirror_half(lat)
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for part, ind in _koszul_batches(G, lat):
         for r, cells in _star_quotients(ind):
@@ -464,4 +508,6 @@ def betti_table(
             for d, h in _homology_dims(cells, p).items():
                 if h > 0:
                     entries[(d + 1, b)] = h
+                    if mirror:
+                        entries[(d + 1, b[::-1])] = h
     return BettiTable(ideal.ambient, p, entries)

@@ -105,6 +105,8 @@ class SweepConfig:
             raise ValueError("bad s range")
         if not self.chars:
             raise ValueError("need at least one characteristic")
+        if len(set(self.chars)) < len(self.chars):
+            raise ValueError(f"repeated characteristic in chars {self.chars}")
         for p in self.chars:
             FieldSpec(p)  # validates primality
         if self.power_cap < 1 or self.lattice_cap < 1:

@@ -184,6 +184,26 @@ def test_minimalize_compares_across_degrees_in_chunks(monkeypatch):
             assert set(minimalize(gens).generators) == naive_minimal(gens, 5)
 
 
+def test_minimalize_checks_minimality_once(monkeypatch):
+    passes = []
+
+    def counted(exps):
+        passes.append(len(exps))
+        return real(exps)
+
+    real = monomials_mod._minimal_rows
+    monkeypatch.setattr(monomials_mod, "_minimal_rows", counted)
+    i = minimalize([m("x1^3", 2), m("x1*x2", 2), m("x1^2", 2), m("x1*x2^2", 2)])
+    assert i.generators == (m("x1*x2", 2), m("x1^2", 2))
+    assert passes == [4]
+    # A direct construction still validates, in one pass.
+    passes.clear()
+    assert MonomialIdeal(2, i.generators) == i
+    assert passes == [2]
+    with pytest.raises(ValueError, match="non-minimal"):
+        MonomialIdeal(2, (m("x1^2", 2), m("x1^3", 2)))
+
+
 def test_minimalize_empty_needs_ambient():
     assert minimalize([], ambient=6).is_zero()
     with pytest.raises(ValueError):

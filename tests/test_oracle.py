@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathideal.errors import SizeCapExceededError
+import pathideal.oracle as oracle_mod
 from pathideal.monomials import Monomial, MonomialIdeal, minimalize
 from pathideal.oracle import (
     GF2,
@@ -17,6 +18,8 @@ from pathideal.oracle import (
     FieldSpec,
     _face_indicators,
     _facet_masks,
+    _full_simplex,
+    _lcm_lattice_encoded,
     betti_table,
     gf2_rank,
     gfp_rank,
@@ -60,6 +63,25 @@ def koszul_by_fast_path(i: MonomialIdeal, b: Monomial) -> set[tuple[int, ...]]:
         tuple(v for j, v in enumerate(labels) if face >> j & 1)
         for face in np.flatnonzero(ind).tolist()
     }
+
+
+def pruned_walk(i: MonomialIdeal) -> list[tuple[int, ...]]:
+    """The lattice walk as betti_table runs it, dropping full simplices."""
+    G = np.array([g.exponents for g in i.generators], dtype=np.int64)
+    lat = _lcm_lattice_encoded(G, 10**6, keep=lambda rows: ~_full_simplex(G, rows))
+    return [tuple(b) for b in lat.tolist()]
+
+
+def non_full_lattice(i: MonomialIdeal) -> list[tuple[int, ...]]:
+    """Lattice points whose K^b is not a full simplex.
+
+    That is b = 0 (K^0 is {empty face}) or x^b / x^supp(b) outside I.
+    """
+    return [
+        b.exponents for b in lcm_lattice(i)
+        if b.is_unit()
+        or not i.contains(Monomial(tuple(max(e - 1, 0) for e in b.exponents)))
+    ]
 
 
 # ---------------------------------------------------------------- ranks
@@ -246,6 +268,41 @@ def test_lcm_lattice_closed_under_joins():
         assert got == sorted(lcm_lattice_by_definition(i))
 
 
+def test_pruned_walk_keeps_exactly_the_non_full_points():
+    ideals = [power(n, t, s) for n, t, s in [(5, 2, 2), (6, 3, 2), (7, 2, 1), (5, 2, 3)]]
+    ideals += [ideal(g, a) for g, a in OFF_PATH_IDEALS]
+    rng = random.Random(5)
+    for _ in range(30):
+        ambient = rng.randint(1, 6)
+        ideals.append(minimalize([
+            Monomial(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(ambient)))
+            for _ in range(rng.randint(1, 7))
+        ]))
+    for i in ideals:
+        assert pruned_walk(i) == non_full_lattice(i)
+    # Squarefree lattice points are never full; powers have full ones.
+    assert len(pruned_walk(ideals[0])) < len(lcm_lattice(ideals[0]))
+
+
+def test_pruned_walk_in_one_row_chunks(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1)
+    for i in [power(5, 2, 2), power(6, 3, 2)] + [ideal(g, a) for g, a in OFF_PATH_IDEALS]:
+        assert pruned_walk(i) == non_full_lattice(i)
+        assert betti_table(i).entries == betti_via_public_route(i, 2)
+
+
+def test_pruned_walk_on_a_wide_ideal_uses_python_int_codes():
+    rng = random.Random(13)
+    for _ in range(10):
+        ambient = rng.randint(40, 70)
+        i = minimalize([
+            Monomial(tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(ambient)))
+            for _ in range(rng.randint(2, 5))
+        ])
+        assert 4 ** ambient >= 2**62
+        assert pruned_walk(i) == non_full_lattice(i)
+
+
 # ---------------------------------------------------------------- Betti tables
 
 
@@ -317,11 +374,38 @@ def test_betti_matches_public_route_on_path_powers():
 
 def test_betti_unit_ideal():
     # K^0 = {empty face} has H~_{-1} = 1, so (1) is resolved by R itself.
-    for zero in ((), (0, 0)):
+    for zero in ((), (0,), (0, 0)):
         i = minimalize([Monomial(zero)])
         for p in (2, 3):
             assert betti_table(i, FieldSpec(p)).entries == {(0, zero): 1}
             assert betti_via_public_route(i, p) == {(0, zero): 1}
+
+
+def test_betti_computes_one_of_each_mirror_pair(monkeypatch):
+    visited = []
+    real = oracle_mod._koszul_batches
+
+    def spy(G, lat):
+        visited.extend(tuple(b) for b in lat.tolist())
+        return real(G, lat)
+
+    monkeypatch.setattr(oracle_mod, "_koszul_batches", spy)
+    # Path powers are fixed by the reversal; the palindromic b are computed
+    # once and written once, with their own rank.
+    for n, t, s in [(5, 2, 2), (6, 3, 2), (4, 2, 1)]:
+        visited.clear()
+        i = power(n, t, s)
+        table = betti_table(i)
+        assert len(visited) == len(set(visited))
+        assert all(b <= b[::-1] for b in visited)
+        assert set(visited) | {b[::-1] for b in visited} == set(non_full_lattice(i))
+        assert any(b == b[::-1] for (_, b) in table.entries)
+        assert table.entries == betti_via_public_route(i, 2)
+    # A generator set that is not closed under reversal is walked in full.
+    visited.clear()
+    i = ideal(["x1*x2", "x2*x3^2"], 3)
+    assert betti_table(i).entries == betti_via_public_route(i, 2)
+    assert visited == non_full_lattice(i)
 
 
 def test_betti_stanley_reisner_projective_plane():
@@ -454,4 +538,14 @@ small_monomial = st.tuples(*([st.integers(0, 2)] * 4)).map(Monomial)
 @given(st.lists(small_monomial, min_size=1, max_size=4), st.sampled_from([2, 3]))
 def test_fast_table_matches_public_route_on_random_ideals(gens, p):
     i = minimalize(gens, ambient=4)
+    assert betti_table(i, FieldSpec(p)).entries == betti_via_public_route(i, p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(*([st.integers(0, 2)] * 4)), min_size=1, max_size=3),
+    st.sampled_from([2, 3]),
+)
+def test_fast_table_matches_public_route_on_mirror_closed_ideals(gens, p):
+    i = minimalize([Monomial(g) for g in gens + [g[::-1] for g in gens]])
     assert betti_table(i, FieldSpec(p)).entries == betti_via_public_route(i, p)

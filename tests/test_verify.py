@@ -78,6 +78,11 @@ def test_config_validation():
         SweepConfig(chars=(4,))
     with pytest.raises(ValueError):
         SweepConfig(jobs=0)
+    # a repeated field would re-run its quantities under the same name
+    with pytest.raises(ValueError, match="repeated characteristic"):
+        SweepConfig(chars=(2, 2))
+    with pytest.raises(ValueError, match="repeated characteristic"):
+        SweepConfig(chars=(3, 2, 3))
     # a JSON config file can hold floats, bools and strings
     for bad in ({"jobs": 1.5}, {"lattice_cap": 2.5}, {"jobs": True}, {"chars": ("2",)}):
         with pytest.raises(ValueError, match="must be integers"):
@@ -502,6 +507,21 @@ def test_cli_check_quotients_pass_text(capsys):
     assert "linear quotients: yes" in out
 
 
+def test_cli_check_zero_ideal_reports_both_modes(capsys):
+    code, out = run_cli(capsys, "check", "--n", "2", "--t", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "linear quotients: ERROR (zero ideal: n=2 < t=3)",
+        "quasi-linear: yes",
+    ]
+    code, out = run_cli(capsys, "check", "--n", "2", "--t", "3", "--json")
+    assert code == 0
+    assert json.loads(out) == [
+        {"mode": "quotients", "ok": False, "error": "zero ideal: n=2 < t=3"},
+        {"mode": "quasi", "quasi_linear": True},
+    ]
+
+
 def test_cli_formula(capsys):
     assert run_cli(capsys, "formula", "gamma", "--n", "7", "--t", "3") == (0, "4\n")
     assert run_cli(
@@ -568,6 +588,7 @@ def test_cli_verify_rejects_bad_config(capsys, tmp_path):
     for config in (
         {"t_min": 1}, {"chars": 2}, {"chars": [4]}, {"chars": ["2"]},
         {"n_max": 5.5}, {"jobs": 1.5}, {"jobs": True}, {"deep_n_max": "7"},
+        {"chars": [2, 2]},
     ):
         code = main(["verify", "--config", write_config(tmp_path, config)])
         assert code == 2
