@@ -117,9 +117,16 @@ def _emit_json(obj, dest: str) -> None:
             raise PathIdealError(f"cannot write {dest}: {exc}") from exc
 
 
+def _spec(args) -> PathIdealSpec:
+    """The spec of I_t(L_n); a --power below 1 is refused whatever n is."""
+    if args.power < 1:
+        raise ValueError(f"power must be >= 1, got {args.power}")
+    return PathIdealSpec(args.n, args.t)
+
+
 def _pairs(args) -> list:
     """(composition, generator) pairs of I_t(L_n)^s; none for the zero ideal."""
-    spec = PathIdealSpec(args.n, args.t)
+    spec = _spec(args)
     return power_generators(spec, args.power) if spec.num_generators else []
 
 
@@ -188,7 +195,7 @@ def _cmd_reg(args) -> int:
 def _check_quotients(args) -> tuple[dict, str]:
     """The linear-quotient check's JSON payload and its line of text."""
     payload: dict = {"mode": "quotients", "ok": False}
-    spec = PathIdealSpec(args.n, args.t)
+    spec = _spec(args)
     try:
         if not spec.num_generators:
             raise PathIdealError(f"zero ideal: n={args.n} < t={args.t}")

@@ -54,8 +54,10 @@ _MAX_CHARACTERISTIC = 1 << 31
 _MAX_SUPPORT = 24
 
 # Chunks of scratch arrays stay within the byte budget _CHUNK_BYTES: lattice
-# and facet chunks take _CHUNK_BYTES // (q * n * 8) multidegrees, a batch of
-# face indicators _CHUNK_BYTES >> k.
+# and facet chunks take _CHUNK_BYTES // (q * n * 8) multidegrees.  A lattice
+# chunk joins or tests each of its unary codes against the q generator codes,
+# one int64 each (more as Python ints, past 63 bits), so it holds a 1/n share
+# of the budget; a batch of face indicators takes _CHUNK_BYTES >> k.
 
 
 def _is_prime(p: int) -> bool:
@@ -203,22 +205,6 @@ def _facet_masks(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
     return np.where(divides, facets, -1)
 
 
-def _full_simplex(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
-    """Per multidegree b != 0: True when some facet of K^b is all of supp b.
-
-    That makes K^b the full simplex on supp b, hence contractible.  It
-    happens when some generator divides x^b / x^supp(b).  At b = 0 the
-    simplex is {empty face}, which is not contractible.  Exponents compare
-    in the type of lat.
-    """
-    G = G.astype(lat.dtype)
-    topped = np.maximum(lat, 1) - 1
-    covers = np.ones((lat.shape[0], G.shape[0]), dtype=bool)
-    for j in range(G.shape[1]):
-        covers &= G[:, j] <= topped[:, j, None]
-    return covers.any(axis=1) & lat.any(axis=1)
-
-
 def _face_indicators(facets: np.ndarray, k: int) -> np.ndarray:
     """Boolean (rows, 2^k) array: row r marks the faces of one complex.
 
@@ -250,7 +236,7 @@ def _koszul_batches(G: np.ndarray, lat: np.ndarray):
         part = lat[lo : lo + step].astype(small)
         facets = _facet_masks(G, part)
         ks = np.count_nonzero(part, axis=1)
-        for k in np.unique(ks).tolist():
+        for k in _unique(ks).tolist():
             rows = np.flatnonzero(ks == k)
             per = max(1, _CHUNK_BYTES >> k)
             for at in range(0, rows.size, per):
@@ -291,58 +277,73 @@ def _star_quotients(ind: np.ndarray):
 # lcm lattice
 # ---------------------------------------------------------------------------
 
-def _lcm_lattice_encoded(G: np.ndarray, cap: int, keep=None) -> np.ndarray:
+def _unique(codes: np.ndarray) -> np.ndarray:
+    """The distinct values of codes, sorted, by one sort and a neighbour test."""
+    codes = np.sort(codes, axis=None)
+    if codes.size == 0:
+        return codes
+    return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+
+
+def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False) -> np.ndarray:
     """The lcm lattice of the generator rows of G, as rows in lex order.
 
-    Rows are coded as base-(max G + 1) numbers with x1 the leading digit, so
-    the order of codes is the order of rows.  Codes are int64 when every
-    code fits below 2^62, Python ints (dtype object) otherwise.  Each round
+    Rows are coded in unary: field j holds b_j low set bits, every field is
+    w = max G bits wide, and x1 has the highest field, so the order of codes
+    is the order of rows.  The join with a generator is a bitwise or, g
+    divides x^b iff code(g) & ~code(b) == 0, and (code >> 1) & low, where
+    low clears the top bit of every field, codes x^b / x^supp(b).  Codes are
+    int64 when n * w < 64, Python ints (dtype object) otherwise.  Each round
     joins the newest points with every generator, a chunk of rows at a time.
 
-    keep, when given, maps a chunk of rows (in the narrowest type that holds
-    the exponents) to a boolean mask; rows it rejects are dropped as soon as
-    they appear and never joined further.  That returns exactly the lattice
-    points keep accepts if the rejected points form an up-set, closed under
-    joining with any generator: every lcm-chain to an accepted point then
-    passes through accepted points only.
+    With prune, a point b != 0 whose K^b is the full simplex on supp b (some
+    generator divides x^b / x^supp(b)) is dropped as soon as it appears and
+    never joined further.  That returns exactly the other lattice points,
+    because the full points form an up-set, closed under joining with any
+    generator: every lcm-chain to a kept point passes through kept points.
     """
     q, n = G.shape
-    base = int(G.max(initial=0)) + 1
-    dtype = np.int64 if base**n < 2**62 else object
-    small = np.min_scalar_type(base - 1)
-    weights = np.array([base**e for e in range(n - 1, -1, -1)], dtype=dtype)
+    w = max(1, int(G.max(initial=0)))
+    dtype = np.int64 if n * w < 64 else object
+    shifts = np.array([w * (n - 1 - j) for j in range(n)], dtype=dtype)
+    field = (1 << w) - 1
+    low = sum((field >> 1) << int(s) for s in shifts)
+    ones = sum(1 << int(s) for s in shifts)
+    gens = ((field >> (w - G.astype(dtype))) << shifts).sum(axis=1, dtype=dtype)
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
 
     def kept(codes):
-        if keep is None or codes.size == 0:
+        if not prune:
             return codes
-        return codes[np.concatenate([
-            keep((codes[lo : lo + step, None] // weights % base).astype(small))
-            for lo in range(0, codes.size, step)
-        ])]
+        keep = np.empty(codes.size, dtype=bool)
+        for lo in range(0, codes.size, step):
+            part = codes[lo : lo + step]
+            topped = (part[:, None] >> 1) & low  # x^b / x^supp(b)
+            keep[lo : lo + step] = (part == 0) | ((gens & ~topped) != 0).all(axis=1)
+        return codes[keep]
 
-    seen = kept(np.unique(G @ weights))
+    seen = kept(_unique(gens))
     frontier = seen
     while frontier.size:
         fresh = []
         for lo in range(0, frontier.size, step):
-            part = frontier[lo : lo + step, None] // weights % base
-            codes = np.zeros((part.shape[0], q), dtype=dtype)
-            for j in range(n):
-                codes += np.maximum(part[:, j, None], G[:, j]) * weights[j]
-            codes = np.unique(codes)
+            codes = _unique(frontier[lo : lo + step, None] | gens)
             pos = np.minimum(np.searchsorted(seen, codes), seen.size - 1)
             fresh.append(codes[seen[pos] != codes])
-        frontier = kept(np.unique(np.concatenate(fresh)))
+        frontier = kept(_unique(np.concatenate(fresh)))
         if frontier.size == 0:
             break
-        seen = np.union1d(seen, frontier)
+        seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
         if seen.size > cap:
             raise SizeCapExceededError(
                 f"lcm lattice exceeded cap {cap} (reached {seen.size})",
                 count=int(seen.size),
             )
-    return (seen[:, None] // weights % base).astype(np.int64, copy=False)
+    # b_j is the number of set bits in field j.  Adding (code >> i) & ones
+    # over i < w counts them into the bottom of each field; a count is at
+    # most w < 2^w, so it never carries into the next field.
+    counts = sum((seen >> i) & ones for i in range(w))
+    return ((counts[:, None] >> shifts) & field).astype(np.int64)
 
 
 def lcm_lattice(
@@ -495,9 +496,7 @@ def betti_table(
         return BettiTable(ideal.ambient, p, {})
     gens = [g.exponents for g in ideal.generators]
     G = np.array(gens, dtype=np.int64)
-    lat = _lcm_lattice_encoded(
-        G, lattice_cap, keep=lambda rows: ~_full_simplex(G, rows)
-    )
+    lat = _lcm_lattice_encoded(G, lattice_cap, prune=True)
     mirror = ideal.ambient > 1 and sorted(g[::-1] for g in gens) == gens
     if mirror:
         lat = _mirror_half(lat)

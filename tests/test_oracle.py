@@ -18,8 +18,8 @@ from pathideal.oracle import (
     FieldSpec,
     _face_indicators,
     _facet_masks,
-    _full_simplex,
     _lcm_lattice_encoded,
+    _unique,
     betti_table,
     gf2_rank,
     gfp_rank,
@@ -68,20 +68,34 @@ def koszul_by_fast_path(i: MonomialIdeal, b: Monomial) -> set[tuple[int, ...]]:
 def pruned_walk(i: MonomialIdeal) -> list[tuple[int, ...]]:
     """The lattice walk as betti_table runs it, dropping full simplices."""
     G = np.array([g.exponents for g in i.generators], dtype=np.int64)
-    lat = _lcm_lattice_encoded(G, 10**6, keep=lambda rows: ~_full_simplex(G, rows))
+    lat = _lcm_lattice_encoded(G, 10**6, prune=True)
     return [tuple(b) for b in lat.tolist()]
 
 
-def non_full_lattice(i: MonomialIdeal) -> list[tuple[int, ...]]:
-    """Lattice points whose K^b is not a full simplex.
+def non_full_lattice(i: MonomialIdeal, lattice=None) -> list[tuple[int, ...]]:
+    """Points of the lattice (lcm_lattice's by default) whose K^b is not full.
 
     That is b = 0 (K^0 is {empty face}) or x^b / x^supp(b) outside I.
     """
+    if lattice is None:
+        lattice = [b.exponents for b in lcm_lattice(i)]
     return [
-        b.exponents for b in lcm_lattice(i)
-        if b.is_unit()
-        or not i.contains(Monomial(tuple(max(e - 1, 0) for e in b.exponents)))
+        b for b in lattice
+        if not any(b) or not i.contains(Monomial(tuple(max(e - 1, 0) for e in b)))
     ]
+
+
+def random_ideal(rng: random.Random, ambient: int, top: int, count: int) -> MonomialIdeal:
+    """At most count random minimal generators, largest exponent exactly top."""
+    while True:
+        rows = [
+            [rng.choice((0, 0, rng.randint(1, top))) for _ in range(ambient)]
+            for _ in range(count)
+        ]
+        rows[0][rng.randrange(ambient)] = top
+        i = minimalize([Monomial(tuple(r)) for r in rows], ambient=ambient)
+        if max(max(g.exponents) for g in i.generators) == top:
+            return i
 
 
 # ---------------------------------------------------------------- ranks
@@ -242,9 +256,11 @@ def test_lcm_lattice_cap():
 
 
 def test_lcm_lattice_wide_ideal_uses_python_int_codes():
-    # base 2 and 62 variables: codes reach 2^62 and leave int64.
-    g1, g2 = Monomial((1,) * 31 + (0,) * 31), Monomial((0,) * 31 + (1,) * 31)
-    assert lcm_lattice(minimalize([g1, g2])) == [g2, g1, Monomial((1,) * 62)]
+    # Squarefree, so fields are 1 bit wide: 62 variables fit in int64, and
+    # 64 variables take 64 bits and leave it.
+    for half in (31, 32):
+        g1, g2 = Monomial((1,) * half + (0,) * half), Monomial((0,) * half + (1,) * half)
+        assert lcm_lattice(minimalize([g1, g2])) == [g2, g1, Monomial((1,) * 2 * half)]
     rng = random.Random(11)
     for _ in range(10):
         ambient = rng.randint(40, 70)
@@ -299,8 +315,70 @@ def test_pruned_walk_on_a_wide_ideal_uses_python_int_codes():
             Monomial(tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(ambient)))
             for _ in range(rng.randint(2, 5))
         ])
-        assert 4 ** ambient >= 2**62
+        # n * w >= 64 bits, w = max exponent: the codes are Python ints.
+        assert ambient * max(max(g.exponents) for g in i.generators) >= 64
         assert pruned_walk(i) == non_full_lattice(i)
+
+
+def test_unary_walk_matches_the_definition_on_random_ideals():
+    rng = random.Random(17)
+    for top in range(1, 7):
+        for _ in range(8):
+            i = random_ideal(rng, rng.randint(1, 6), top, rng.randint(1, 6))
+            lattice = sorted(lcm_lattice_by_definition(i))
+            assert [b.exponents for b in lcm_lattice(i)] == lattice
+            assert pruned_walk(i) == non_full_lattice(i, lattice)
+
+
+@pytest.mark.parametrize(
+    "ambient, top, dtype",
+    [(63, 1, np.int64), (21, 3, np.int64), (9, 7, np.int64),
+     (64, 1, object), (32, 2, object), (16, 4, object), (8, 8, object)],
+)
+def test_unary_walk_switches_to_python_ints_at_64_bits(monkeypatch, ambient, top, dtype):
+    dtypes = set()
+    unique = oracle_mod._unique
+
+    def spy(codes):
+        dtypes.add(codes.dtype)
+        return unique(codes)
+
+    monkeypatch.setattr(oracle_mod, "_unique", spy)
+    rng = random.Random(ambient * top)
+    for count in range(1, 6):
+        i = random_ideal(rng, ambient, top, count)
+        lattice = sorted(lcm_lattice_by_definition(i))
+        assert [b.exponents for b in lcm_lattice(i)] == lattice
+        assert pruned_walk(i) == non_full_lattice(i, lattice)
+    assert dtypes == {np.dtype(dtype)}
+
+
+def test_unary_walk_on_zero_columns_and_the_unit_ideal():
+    # x2 and x4 appear in no generator; their fields stay empty.
+    i = ideal(["x1^2*x3", "x1*x3^3*x5", "x5^2", "x1^3"], 5)
+    lattice = sorted(lcm_lattice_by_definition(i))
+    assert all(b[1] == b[3] == 0 for b in lattice)
+    assert [b.exponents for b in lcm_lattice(i)] == lattice
+    assert pruned_walk(i) == non_full_lattice(i, lattice)
+    # The unit ideal: one generator, all of whose columns are zero.
+    for ambient in (0, 1, 3):
+        unit = minimalize([Monomial((0,) * ambient)], ambient=ambient)
+        assert pruned_walk(unit) == [(0,) * ambient]
+        assert lcm_lattice(unit) == [Monomial((0,) * ambient)]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_unique_is_the_sorted_set(dtype):
+    rng = random.Random(3)
+    pool = [-7, 0, 1, 5, 40, 2**40] + ([2**63, 2**70 + 1, -2**65] if dtype is object else [])
+    for size in (0, 1, 2, 50, 400):
+        codes = np.array([rng.choice(pool) for _ in range(size)], dtype=dtype)
+        got = _unique(codes)
+        assert got.dtype == codes.dtype
+        assert got.tolist() == sorted(set(codes.tolist()))
+    # A 2-D chunk of joins is flattened.
+    grid = np.array([[3, 1, 3], [2, 1, 0]], dtype=dtype)
+    assert _unique(grid).tolist() == [0, 1, 2, 3]
 
 
 # ---------------------------------------------------------------- Betti tables

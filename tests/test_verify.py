@@ -522,6 +522,17 @@ def test_cli_check_zero_ideal_reports_both_modes(capsys):
     ]
 
 
+@pytest.mark.parametrize("command", ["gens", "power", "betti", "check"])
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("power", [0, -1])
+def test_cli_refuses_a_power_below_one_for_every_n(capsys, command, n, power):
+    # n = 2 < t = 3 is the zero ideal, whose generators are never built.
+    code = main([command, "--n", str(n), "--t", "3", "--power", str(power)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"pathideal: power must be >= 1, got {power}\n"
+
+
 def test_cli_formula(capsys):
     assert run_cli(capsys, "formula", "gamma", "--n", "7", "--t", "3") == (0, "4\n")
     assert run_cli(
