@@ -1,8 +1,9 @@
 """Content-addressed disk cache for Betti tables.
 
 Keys are SHA-256 hashes of the canonical serialization of (generators,
-characteristic, oracle version), so a hit can only ever replay the exact same
-computation.  Entries are written atomically (temp file + rename) and
+characteristic, lattice cap, oracle version), so a hit can only ever replay
+the exact same computation, and a cell the cap skips is skipped whatever the
+cache holds.  Entries are written atomically (temp file + rename) and
 validated on read; anything corrupt, or stored by another oracle version, is
 evicted and recomputed.
 """
@@ -44,12 +45,17 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
-def betti_cache_key(ideal: MonomialIdeal, characteristic: int) -> str:
-    """SHA-256 over the canonical JSON of the generators, field and oracle."""
+def betti_cache_key(
+    ideal: MonomialIdeal,
+    characteristic: int,
+    lattice_cap: int = DEFAULT_LATTICE_CAP,
+) -> str:
+    """SHA-256 over the canonical JSON of the generators, field, cap and oracle."""
     payload = {
         "ambient": ideal.ambient,
         "char": characteristic,
         "generators": [list(g.exponents) for g in ideal.generators],
+        "lattice_cap": lattice_cap,
         "oracle_version": ORACLE_VERSION,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -138,7 +144,7 @@ def cached_betti_table(
     """betti_table with an optional read-through disk cache."""
     if cache is None:
         return betti_table(ideal, fieldspec, lattice_cap)
-    key = betti_cache_key(ideal, fieldspec.characteristic)
+    key = betti_cache_key(ideal, fieldspec.characteristic, lattice_cap)
     found = cache.lookup(key)
     if found is not None:
         return found

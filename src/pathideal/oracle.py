@@ -8,8 +8,11 @@ can contribute, so the oracle closes the generator set under joins with the
 generators and computes homology at every lattice point whose K^b is not a
 full simplex, one of each mirror pair when the reversal of the variables
 fixes the generators.  K^b is built from its facets, one per generator
-dividing x^b; homology is taken relative to the closed star of one vertex, a
-cone, which leaves few cells or none.
+dividing x^b.  A batch of complexes is settled at once: cones are dropped,
+the rest are reduced by a sequence of element matchings, an acyclic
+matching, and a complex whose critical faces all have one size has that
+many homology classes.  Only the few others are ranked, relative to the
+closed star of one vertex.
 
 Everything here is exact: GF(2) ranks use integer bitsets, odd primes use
 dense modular Gaussian elimination.  Rational homology is out of scope.
@@ -57,7 +60,9 @@ _MAX_SUPPORT = 24
 # and facet chunks take _CHUNK_BYTES // (q * n * 8) multidegrees.  A lattice
 # chunk joins or tests each of its unary codes against the q generator codes,
 # one int64 each (more as Python ints, past 63 bits), so it holds a 1/n share
-# of the budget; a batch of face indicators takes _CHUNK_BYTES >> k.
+# of the budget.  A batch of face indicators takes _CHUNK_BYTES >> (k + 2)
+# rows, so that with the copy of its complexes that are not cones and the
+# scratch array of the same size that its homology adds, it stays within.
 
 
 def _is_prime(p: int) -> bool:
@@ -238,39 +243,135 @@ def _koszul_batches(G: np.ndarray, lat: np.ndarray):
         ks = np.count_nonzero(part, axis=1)
         for k in _unique(ks).tolist():
             rows = np.flatnonzero(ks == k)
-            per = max(1, _CHUNK_BYTES >> k)
+            per = max(1, _CHUNK_BYTES >> (k + 2))
             for at in range(0, rows.size, per):
                 batch = rows[at : at + per]
                 yield part[batch], _face_indicators(facets[batch], k)
 
 
-def _star_quotients(ind: np.ndarray):
-    """Yield (r, cells) for each row of ind whose complex is not a cone.
+# Face indicators are read 8 to a little-endian 64-bit word, one byte each.
+# _WITHOUT_VERTEX[v] marks the bytes of the faces without vertex v, v < 3.
+_WITHOUT_VERTEX = tuple(
+    np.uint64(sum(0xFF << (8 * f) for f in range(8) if not f >> v & 1))
+    for v in range(3)
+)
+_BYTES = np.uint64(0x0101010101010101)
 
-    The closed star st(v) of a vertex is a cone, so H~_d(K) = H_d(K, st v).
-    The cells of K left are the faces sigma with sigma + v not in K; there
-    are |K| - 2 deg v of them, where deg v counts the faces through v.  The
-    vertex of largest degree leaves the fewest, and none left means K is a
-    cone.  cells are sorted bitmasks.  Without vertices K is {empty face},
-    all of whose cells are kept.
+
+def _faces_per_word(words: np.ndarray, mask: np.uint64, out: np.ndarray) -> np.ndarray:
+    """The number of faces in each word of words & mask, written to out."""
+    # The top byte of x * 0x0101...01 sums the 8 bytes of x, each 0 or 1.
+    np.bitwise_and(words, mask, out=out)
+    out *= _BYTES
+    out >>= np.uint64(56)
+    return out
+
+
+def _vertex_degrees(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(deg, faces): faces through each vertex, (rows, k), and all, (rows,).
+
+    words is the (rows, 2^k / 8) word view of a batch of face indicators.
+    """
+    rows, width = words.shape
+    k = (8 * width).bit_length() - 1
+    deg = np.empty((rows, k), dtype=np.int64)
+    count = np.empty_like(words)
+    for v in range(3):
+        deg[:, v] = _faces_per_word(words, ~_WITHOUT_VERTEX[v], count).sum(axis=1)
+    per_word = _faces_per_word(words, ~np.uint64(0), count)
+    for v in range(3, k):
+        pairs = per_word.reshape(rows, width >> (v - 2), 2, 1 << (v - 3))
+        deg[:, v] = pairs[:, :, 1].sum(axis=(1, 2))
+    return deg, per_word.sum(axis=1)
+
+
+def _critical_counts(ind: np.ndarray) -> np.ndarray:
+    """(rows, k + 1) counts of the critical faces of each row, by size.
+
+    Element matchings on v = 0, ..., k - 1 in turn pair each face sigma
+    without v with sigma + v while both are unmatched.  The empty face takes
+    part, so the faces left unmatched are the critical cells of an acyclic
+    matching on the augmented chain complex, and H~(K) is the homology of a
+    complex with one generator in dimension c - 1 per critical face of c
+    vertices.  ind, at least 8 faces wide, is overwritten.  The matchings
+    work on its word view: for v < 3 both faces of a pair share a word,
+    8 << v bits apart; for larger v they sit 2^(v-3) words apart.
     """
     rows, size = ind.shape
     k = size.bit_length() - 1
-    if k == 0:
-        yield from ((r, [0]) for r in range(rows))
-        return
-    deg = np.stack(
-        [np.count_nonzero(ind.reshape(rows, -1, 2, 1 << v)[:, :, 1], axis=(1, 2))
-         for v in range(k)],
-        axis=1,
-    )
-    best = np.argmax(deg, axis=1)
-    count = np.count_nonzero(ind, axis=1) - 2 * deg[np.arange(rows), best]
-    for r in np.flatnonzero(count).tolist():
+    words = ind.view("<u8")
+    width = words.shape[1]
+    both = np.empty_like(words)
+    at = np.arange(width)
+    for v in range(k):
+        if v < 3:
+            shift = np.uint64(8 << v)
+            np.right_shift(words, shift, out=both)
+            both &= words
+            both &= _WITHOUT_VERTEX[v]
+            words ^= both
+            both <<= shift
+            words ^= both
+        else:
+            d = 1 << (v - 3)
+            lo, hi, paired = words[:, :-d], words[:, d:], both[:, :-d]
+            np.bitwise_and(lo, hi, out=paired)
+            paired &= np.where(at[:-d] & d, np.uint64(0), ~np.uint64(0))
+            lo ^= paired
+            hi ^= paired
+    # Few faces are left: find their words first, then the bytes in them.
+    r, w = np.nonzero(words)
+    j, byte = np.nonzero(ind.reshape(rows, width, 8)[r, w])
+    r, f = r[j], 8 * w[j] + byte
+    sizes = sum((f >> v) & 1 for v in range(k))
+    counts = np.bincount(r * (k + 1) + sizes, minlength=rows * (k + 1))
+    return counts.reshape(rows, k + 1)
+
+
+def _star_quotients(ind: np.ndarray, star: np.ndarray):
+    """Yield the cells of K relative to st(v), v = star[r], for each row of ind.
+
+    The closed star st(v) of a vertex is a cone, so H~_d(K) = H_d(K, st v).
+    The cells of K left are the faces sigma with sigma + v not in K; there
+    are |K| - 2 deg v of them, the fewest for the vertex of largest degree.
+    cells are sorted bitmasks.  Only the complexes whose critical faces lie
+    in two or more dimensions come here, so every row has a vertex.
+    """
+    for r in range(ind.shape[0]):
         faces = np.flatnonzero(ind[r])
-        bit = 1 << int(best[r])
+        bit = 1 << int(star[r])
         rest = faces[faces & bit == 0]
-        yield r, rest[~ind[r, rest | bit]].tolist()
+        yield rest[~ind[r, rest | bit]].tolist()
+
+
+def _batch_homology(ind: np.ndarray, p: int):
+    """Yield (r, c, h) for each row r of ind and each h = dim H~_{c-1}(K) > 0.
+
+    A complex is a cone, and contributes nothing, when |K| = 2 max deg v.
+    The others are matched (_critical_counts).  When the critical faces all
+    have c vertices, the Morse complex has zero differential, so their
+    number is dim H~_{c-1} and no rank is taken.  Complexes with critical
+    faces of two or more sizes are ranked on the closed-star quotient of
+    their vertex of largest degree.
+    """
+    rows, size = ind.shape
+    if size < 8:
+        # Whole words of faces; the vertices added lie in no face.
+        ind = np.concatenate((ind, np.zeros((rows, 8 - size), dtype=bool)), axis=1)
+    deg, faces = _vertex_degrees(ind.view("<u8"))
+    live = np.flatnonzero(faces > 2 * deg.max(axis=1, initial=0))
+    crit = _critical_counts(ind[live])
+    dims = np.count_nonzero(crit, axis=1)
+    single = crit[dims == 1]
+    yield from zip(
+        live[dims == 1].tolist(), single.argmax(axis=1).tolist(), single.max(axis=1).tolist()
+    )
+    ranked = live[dims > 1]
+    quotients = _star_quotients(ind[ranked], deg[ranked].argmax(axis=1))
+    for r, cells in zip(ranked.tolist(), quotients):
+        for d, h in _homology_dims(cells, p).items():
+            if h:
+                yield r, d + 1, h
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +590,9 @@ def betti_table(
     Only lattice points whose K^b is not a full simplex are visited.  When
     the reversal x_i -> x_{n+1-i} fixes the generators, it maps K^b onto
     K^{rev b}, so beta_{i,b} = beta_{i,rev b} and one of each pair is
-    computed.
+    computed.  The complexes are settled a batch at a time by element
+    matchings (_batch_homology); a rank is taken only for those whose
+    critical faces have two or more sizes.
     """
     p = fieldspec.characteristic
     if ideal.is_zero():
@@ -502,11 +605,9 @@ def betti_table(
         lat = _mirror_half(lat)
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for part, ind in _koszul_batches(G, lat):
-        for r, cells in _star_quotients(ind):
+        for r, i, h in _batch_homology(ind, p):
             b = tuple(part[r].tolist())
-            for d, h in _homology_dims(cells, p).items():
-                if h > 0:
-                    entries[(d + 1, b)] = h
-                    if mirror:
-                        entries[(d + 1, b[::-1])] = h
+            entries[(i, b)] = h
+            if mirror:
+                entries[(i, b[::-1])] = h
     return BettiTable(ideal.ambient, p, entries)

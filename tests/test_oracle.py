@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +19,13 @@ from pathideal.oracle import (
     GF2,
     BettiTable,
     FieldSpec,
+    _batch_homology,
+    _critical_counts,
     _face_indicators,
     _facet_masks,
     _lcm_lattice_encoded,
     _unique,
+    _vertex_degrees,
     betti_table,
     gf2_rank,
     gfp_rank,
@@ -233,6 +239,84 @@ def test_upper_koszul_matches_definition_on_random_ideals(gens, b):
     assert koszul_by_fast_path(i, Monomial(b)) == koszul_by_definition(
         i, Monomial(b)
     )
+
+
+# ---------------------------------------------------------------- batched homology
+
+
+def indicators(complexes, k: int) -> np.ndarray:
+    """Boolean (rows, 2^k) face indicators of complexes on vertices 0..k-1."""
+    ind = np.zeros((len(complexes), 1 << k), dtype=bool)
+    for r, faces in enumerate(complexes):
+        for f in faces:
+            ind[r, sum(1 << v for v in f)] = True
+    return ind
+
+
+def rank_spy(monkeypatch) -> list:
+    """Record the result of every _homology_dims call, the rank route."""
+    calls, real = [], oracle_mod._homology_dims
+
+    def spy(cells, p):
+        calls.append(real(cells, p))
+        return calls[-1]
+
+    monkeypatch.setattr(oracle_mod, "_homology_dims", spy)
+    return calls
+
+
+def test_batch_homology_matches_the_reference_on_random_complexes(monkeypatch):
+    calls, settled = rank_spy(monkeypatch), 0
+    for k in range(7):
+        rng = random.Random(k)
+        complexes = [
+            from_faces(
+                rng.sample(range(k), rng.randint(0, min(k, 3)))
+                for _ in range(rng.randint(1, 2 * k + 1))
+            )
+            for _ in range(150)
+        ]
+        if k == 6:
+            complexes.append(from_faces((v - 1 for v in f) for f in RP2_TRIANGLES))
+        for p in (2, 3):
+            got = {}
+            for r, c, h in _batch_homology(indicators(complexes, k), p):
+                got.setdefault(r, {})[c] = h
+            for r, cx in enumerate(complexes):
+                want = {c: h for c, h in enumerate(reduced_homology(cx, p)) if h}
+                assert got.get(r, {}) == want
+            settled += len(got)
+    # Both routes ran: matching settles most complexes, a few are ranked.
+    assert 0 < 10 * len(calls) < settled
+
+
+def test_vertex_degrees_count_the_faces_through_each_vertex():
+    rng = random.Random(3)
+    for k in (3, 4, 7):
+        ind = rng.choices([False, True], k=5 << k)
+        ind = np.array(ind, dtype=bool).reshape(5, 1 << k)
+        deg, faces = _vertex_degrees(ind.view("<u8"))
+        assert faces.tolist() == np.count_nonzero(ind, axis=1).tolist()
+        assert deg.tolist() == [
+            [sum(int(ind[r, f]) for f in range(1 << k) if f >> v & 1) for v in range(k)]
+            for r in range(5)
+        ]
+
+
+def test_batch_homology_of_cones_and_of_no_rows(monkeypatch):
+    calls = rank_spy(monkeypatch)
+    cones = [
+        from_faces([(0,)]),
+        from_faces([(0, 1, 2)]),
+        from_faces([(0, 1), (1, 2)]),
+        from_faces([(0, 1, 2), (0, 3), (0, 4, 5)]),
+    ]
+    assert list(_batch_homology(indicators(cones[:1], 1), 2)) == []
+    assert list(_batch_homology(indicators(cones, 6), 2)) == []
+    for k in (0, 2, 3, 5):
+        assert list(_batch_homology(np.zeros((0, 1 << k), dtype=bool), 3)) == []
+    assert _critical_counts(np.zeros((0, 16), dtype=bool)).shape == (0, 5)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- lcm lattice
@@ -450,13 +534,16 @@ def test_betti_matches_public_route_on_path_powers():
             assert fast.entries == betti_via_public_route(i, p)
 
 
-def test_betti_unit_ideal():
-    # K^0 = {empty face} has H~_{-1} = 1, so (1) is resolved by R itself.
+def test_betti_unit_ideal(monkeypatch):
+    # K^0 = {empty face} has H~_{-1} = 1, so (1) is resolved by R itself:
+    # the empty face is the one critical face, and no rank is taken.
+    calls = rank_spy(monkeypatch)
     for zero in ((), (0,), (0, 0)):
         i = minimalize([Monomial(zero)])
         for p in (2, 3):
             assert betti_table(i, FieldSpec(p)).entries == {(0, zero): 1}
             assert betti_via_public_route(i, p) == {(0, zero): 1}
+    assert calls == []
 
 
 def test_betti_computes_one_of_each_mirror_pair(monkeypatch):
@@ -486,7 +573,7 @@ def test_betti_computes_one_of_each_mirror_pair(monkeypatch):
     assert visited == non_full_lattice(i)
 
 
-def test_betti_stanley_reisner_projective_plane():
+def test_betti_stanley_reisner_projective_plane(monkeypatch):
     # By Hochster's formula, beta_{i, x1...x6}(I) = dim H~_{4-i}(RP^2).
     faces = from_faces(RP2_TRIANGLES)
     i = minimalize([
@@ -494,13 +581,40 @@ def test_betti_stanley_reisner_projective_plane():
         for sigma in from_faces([range(1, 7)]) - faces
     ])
     top = (1,) * 6
-    gf2, gf3 = betti_table(i, FieldSpec(2)), betti_table(i, FieldSpec(3))
+    calls = rank_spy(monkeypatch)
+    gf2 = betti_table(i, FieldSpec(2))
+    ranked, calls[:] = list(calls), []
+    gf3 = betti_table(i, FieldSpec(3))
+    # Critical faces do not depend on p, so the entries that do were ranked:
+    # the same complexes over both fields, with H~_1 = H~_2 = 1 over GF(2).
+    assert len(ranked) == len(calls) > 0
+    assert any({1: 1, 2: 1}.items() <= dims.items() for dims in ranked)
     assert gf2.entries[(2, top)] == gf2.entries[(3, top)] == 1
     assert (2, top) not in gf3.entries and (3, top) not in gf3.entries
     assert gf2.totals() == {0: 10, 1: 15, 2: 7, 3: 1}
     assert gf3.totals() == {0: 10, 1: 15, 2: 6}
     for p, table in ((2, gf2), (3, gf3)):
         assert table.entries == betti_via_public_route(i, p)
+
+
+def test_betti_of_a_path_power_takes_no_rank(monkeypatch):
+    calls = rank_spy(monkeypatch)
+    table = betti_table(power(10, 2, 2), FieldSpec(3))
+    assert len(table.entries) == 947
+    assert calls == []
+
+
+def test_betti_matches_the_benchmark_ladder_goldens():
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    ladder = json.loads(golden.read_text(encoding="utf-8"))["ladder"]
+    assert len(ladder) == 5
+    for cell, want in ladder.items():
+        n, t, s, p = map(int, cell.replace("@", ",").split(","))
+        table = betti_table(power(n, t, s), FieldSpec(p))
+        blob = json.dumps(table.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == want["digest"]
+        assert len(table.entries) == want["entries"]
+        assert table.quotient_regularity() == want["reg"]
 
 
 def test_betti_lattice_cap():

@@ -137,6 +137,16 @@ def test_sweep_marks_capped_cells_skipped(tmp_path):
     assert all(r.status == "skipped" for r in capped_rows)
 
 
+def test_lattice_cap_skips_cells_whatever_the_cache_holds(tmp_path):
+    capped = tiny_config(tmp_path / "cache", n_max=6, lattice_cap=5, jobs=1)
+    cold = run_sweep(capped)
+    assert cold.summary["skipped"] > 0
+    # A sweep under the default cap fills the cache with the tables the
+    # capped sweep skipped; they must not be replayed to it.
+    run_sweep(dataclasses.replace(capped, lattice_cap=SweepConfig().lattice_cap))
+    assert run_sweep(capped).canonical_json() == cold.canonical_json()
+
+
 def test_augmented_rows_are_report_only_in_overlap(tmp_path):
     cfg = tiny_config(tmp_path / "cache", n_max=4, s_max=1)
     report = run_sweep(cfg)
@@ -264,6 +274,7 @@ def test_cache_key_separates_characteristics(tmp_path):
     cached_betti_table(EDGE_IDEAL_3, FieldSpec(3), cache)
     assert cache.misses == 2
     assert betti_cache_key(EDGE_IDEAL_3, 2) != betti_cache_key(EDGE_IDEAL_3, 3)
+    assert betti_cache_key(EDGE_IDEAL_3, 2) != betti_cache_key(EDGE_IDEAL_3, 2, 5)
 
 
 def test_cache_evicts_corrupt_entries(tmp_path):
