@@ -59,10 +59,14 @@ _MAX_SUPPORT = 24
 # Chunks of scratch arrays stay within the byte budget _CHUNK_BYTES: lattice
 # and facet chunks take _CHUNK_BYTES // (q * n * 8) multidegrees.  A lattice
 # chunk joins or tests each of its unary codes against the q generator codes,
-# one int64 each (more as Python ints, past 63 bits), so it holds a 1/n share
-# of the budget.  A batch of face indicators takes _CHUNK_BYTES >> (k + 2)
-# rows, so that with the copy of its complexes that are not cones and the
-# scratch array of the same size that its homology adds, it stays within.
+# one uint32 or int64 each (more as Python ints, past 63 bits), so it holds
+# at most a 1/n share of the budget.  A facet chunk holds, per (multidegree,
+# generator), a uint32 facet and 6 bytes of scratch; a batch of it adds a
+# uint32 copy and flat index, which numpy widens to intp as it scatters: 26
+# bytes in all, within the 8 * n of the budget once n >= 4.  A batch of face
+# indicators takes _CHUNK_BYTES >> (max(k, 3) + 2) rows of max(8, 2^k) bytes,
+# so that with the copy of its complexes that are not cones and the scratch
+# array of the same size that its closure and homology add, it stays within.
 
 
 def _is_prime(p: int) -> bool:
@@ -185,13 +189,24 @@ def _homology_dims(cells: list[int], p: int) -> dict[int, int]:
     }
 
 
-def _facet_masks(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
+# Face indicators are read 8 to a little-endian 64-bit word, one byte each.
+# _WITHOUT_VERTEX[v] marks the bytes of the faces without vertex v, v < 3.
+_WITHOUT_VERTEX = tuple(
+    np.uint64(sum(0xFF << (8 * f) for f in range(8) if not f >> v & 1))
+    for v in range(3)
+)
+_BYTES = np.uint64(0x0101010101010101)
+
+
+def _facet_masks(G: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Facets of the upper Koszul complexes K^b, one row per multidegree b.
 
     K^b is generated by one facet per generator g dividing x^b, the support
-    positions j with g_j < b_j.  Entry (b, g) is that facet as a bitmask
-    over the support of b, bit i standing for its i-th position, or -1 when
-    g does not divide x^b.
+    positions j with g_j < b_j.  Returns (facets, inside).  Entry (b, g) of
+    the uint32 facets is that facet as a bitmask over the support of b, bit
+    i standing for its i-th position, or the empty face 0 when g does not
+    divide x^b.  inside[b] says whether some generator divides x^b, that is
+    whether K^b has the empty face; without it K^b is void.
     """
     on = lat > 0
     k = int(np.count_nonzero(on, axis=1).max(initial=0))
@@ -200,29 +215,49 @@ def _facet_masks(G: np.ndarray, lat: np.ndarray) -> np.ndarray:
             f"support size {k} exceeds face-enumeration limit {_MAX_SUPPORT}",
             count=k,
         )
-    rank = np.cumsum(on, axis=1) - 1
-    facets = np.zeros((lat.shape[0], G.shape[0]), dtype=np.int64)
-    divides = np.ones(facets.shape, dtype=bool)
+    rank = np.cumsum(on, axis=1, dtype=np.uint32) - on  # support positions before j
+    shape = (lat.shape[0], G.shape[0])
+    facets = np.zeros(shape, dtype=np.uint32)
+    above = np.zeros(shape, dtype=bool)  # some g_j > b_j: g does not divide
+    test = np.empty(shape, dtype=bool)
+    bit = np.empty(shape, dtype=np.uint32)
     for j in range(G.shape[1]):
         g, b = G[:, j], lat[:, j, None]
-        divides &= g <= b
-        facets |= (g < b).astype(np.int64) << rank[:, j, None].clip(0)
-    return np.where(divides, facets, -1)
+        above |= np.greater(g, b, out=test)
+        np.left_shift(np.less(g, b, out=test), rank[:, j, None], out=bit)
+        facets |= bit
+    np.copyto(facets, np.uint32(0), where=above)
+    return facets, ~above.all(axis=1)
 
 
-def _face_indicators(facets: np.ndarray, k: int) -> np.ndarray:
-    """Boolean (rows, 2^k) array: row r marks the faces of one complex.
+def _face_indicators(facets: np.ndarray, inside: np.ndarray, k: int) -> np.ndarray:
+    """Boolean (rows, max(8, 2^k)) array: row r marks the faces of one complex.
 
-    The complex of row r is the down-closure of the facets in facets[r]
-    (bitmasks over k vertices; -1 entries are ignored).  The facets are
-    marked, then closed downwards one vertex at a time.
+    The complex of row r is the down-closure of the facets in facets[r],
+    uint32 bitmasks over k vertices, or void when inside[r] is false.  Rows
+    are whole 64-bit words of faces; for k < 3 the vertices added lie in no
+    face.  The facets are marked through one flat index, then closed
+    downwards one vertex v at a time on the word view, 8 faces a word: for
+    v < 3 the face sigma + v is in the word of sigma, 8 << v bits higher;
+    for larger v it is 2^(v-3) words further on.  The flat index is uint32,
+    so a batch holds fewer than 2^32 faces; _koszul_batches' hold 2^24 at
+    most.
     """
-    ind = np.zeros((facets.shape[0], 1 << k), dtype=bool)
-    r, g = np.nonzero(facets >= 0)
-    ind[r, facets[r, g]] = True
-    for j in range(k):
-        pairs = ind.reshape(facets.shape[0], -1, 2, 1 << j)
+    rows = facets.shape[0]
+    width = max(8, 1 << k)
+    ind = np.zeros((rows, width), dtype=bool)
+    at = np.arange(rows, dtype=np.uint32)[:, None] * np.uint32(width)
+    ind.reshape(-1)[(facets + at).reshape(-1)] = True
+    words = ind.view("<u8")
+    above = np.empty_like(words)
+    for v in range(min(k, 3)):
+        np.right_shift(words, np.uint64(8 << v), out=above)
+        above &= _WITHOUT_VERTEX[v]
+        words |= above
+    for v in range(3, k):
+        pairs = words.reshape(rows, 1 << (k - 1 - v), 2, 1 << (v - 3))
         pairs[:, :, 0] |= pairs[:, :, 1]
+    ind[:, 0] = inside
     return ind
 
 
@@ -239,23 +274,14 @@ def _koszul_batches(G: np.ndarray, lat: np.ndarray):
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
     for lo in range(0, lat.shape[0], step):
         part = lat[lo : lo + step].astype(small)
-        facets = _facet_masks(G, part)
+        facets, inside = _facet_masks(G, part)
         ks = np.count_nonzero(part, axis=1)
         for k in _unique(ks).tolist():
             rows = np.flatnonzero(ks == k)
-            per = max(1, _CHUNK_BYTES >> (k + 2))
+            per = max(1, _CHUNK_BYTES >> (max(k, 3) + 2))
             for at in range(0, rows.size, per):
                 batch = rows[at : at + per]
-                yield part[batch], _face_indicators(facets[batch], k)
-
-
-# Face indicators are read 8 to a little-endian 64-bit word, one byte each.
-# _WITHOUT_VERTEX[v] marks the bytes of the faces without vertex v, v < 3.
-_WITHOUT_VERTEX = tuple(
-    np.uint64(sum(0xFF << (8 * f) for f in range(8) if not f >> v & 1))
-    for v in range(3)
-)
-_BYTES = np.uint64(0x0101010101010101)
+                yield part[batch], _face_indicators(facets[batch], inside[batch], k)
 
 
 def _faces_per_word(words: np.ndarray, mask: np.uint64, out: np.ndarray) -> np.ndarray:
@@ -352,12 +378,9 @@ def _batch_homology(ind: np.ndarray, p: int):
     have c vertices, the Morse complex has zero differential, so their
     number is dim H~_{c-1} and no rank is taken.  Complexes with critical
     faces of two or more sizes are ranked on the closed-star quotient of
-    their vertex of largest degree.
+    their vertex of largest degree.  ind is whole 64-bit words wide, as
+    _face_indicators makes it.
     """
-    rows, size = ind.shape
-    if size < 8:
-        # Whole words of faces; the vertices added lie in no face.
-        ind = np.concatenate((ind, np.zeros((rows, 8 - size), dtype=bool)), axis=1)
     deg, faces = _vertex_degrees(ind.view("<u8"))
     live = np.flatnonzero(faces > 2 * deg.max(axis=1, initial=0))
     crit = _critical_counts(ind[live])
@@ -394,8 +417,10 @@ def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False) -> np.nda
     is the order of rows.  The join with a generator is a bitwise or, g
     divides x^b iff code(g) & ~code(b) == 0, and (code >> 1) & low, where
     low clears the top bit of every field, codes x^b / x^supp(b).  Codes are
-    int64 when n * w < 64, Python ints (dtype object) otherwise.  Each round
-    joins the newest points with every generator, a chunk of rows at a time.
+    uint32 when n * w <= 32, int64 when n * w < 64 and Python ints (dtype
+    object) otherwise; every scalar they meet has their type, so no
+    promotion widens them.  Each round joins the newest points with every
+    generator, a chunk of rows at a time.
 
     With prune, a point b != 0 whose K^b is the full simplex on supp b (some
     generator divides x^b / x^supp(b)) is dropped as soon as it appears and
@@ -405,12 +430,13 @@ def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False) -> np.nda
     """
     q, n = G.shape
     w = max(1, int(G.max(initial=0)))
-    dtype = np.int64 if n * w < 64 else object
+    dtype = np.uint32 if n * w <= 32 else np.int64 if n * w < 64 else object
+    code = np.dtype(dtype).type  # np.object_(x) is x itself
     shifts = np.array([w * (n - 1 - j) for j in range(n)], dtype=dtype)
-    field = (1 << w) - 1
-    low = sum((field >> 1) << int(s) for s in shifts)
-    ones = sum(1 << int(s) for s in shifts)
-    gens = ((field >> (w - G.astype(dtype))) << shifts).sum(axis=1, dtype=dtype)
+    field = code((1 << w) - 1)
+    low = code(sum((int(field) >> 1) << int(s) for s in shifts))
+    ones = code(sum(1 << int(s) for s in shifts))
+    gens = ((field >> (code(w) - G.astype(dtype))) << shifts).sum(axis=1, dtype=dtype)
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
 
     def kept(codes):
@@ -419,7 +445,7 @@ def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False) -> np.nda
         keep = np.empty(codes.size, dtype=bool)
         for lo in range(0, codes.size, step):
             part = codes[lo : lo + step]
-            topped = (part[:, None] >> 1) & low  # x^b / x^supp(b)
+            topped = (part[:, None] >> code(1)) & low  # x^b / x^supp(b)
             keep[lo : lo + step] = (part == 0) | ((gens & ~topped) != 0).all(axis=1)
         return codes[keep]
 
@@ -443,7 +469,7 @@ def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False) -> np.nda
     # b_j is the number of set bits in field j.  Adding (code >> i) & ones
     # over i < w counts them into the bottom of each field; a count is at
     # most w < 2^w, so it never carries into the next field.
-    counts = sum((seen >> i) & ones for i in range(w))
+    counts = sum(((seen >> code(i)) & ones for i in range(w)), code(0))
     return ((counts[:, None] >> shifts) & field).astype(np.int64)
 
 

@@ -64,7 +64,7 @@ def koszul_by_fast_path(i: MonomialIdeal, b: Monomial) -> set[tuple[int, ...]]:
     """The faces of K^b as betti_table builds them, with 1-based labels."""
     G = np.array([g.exponents for g in i.generators], dtype=np.int64)
     labels = [j + 1 for j, e in enumerate(b.exponents) if e]
-    ind = _face_indicators(_facet_masks(G, np.array([b.exponents])), len(labels))[0]
+    ind = _face_indicators(*_facet_masks(G, np.array([b.exponents])), len(labels))[0]
     return {
         tuple(v for j, v in enumerate(labels) if face >> j & 1)
         for face in np.flatnonzero(ind).tolist()
@@ -241,12 +241,70 @@ def test_upper_koszul_matches_definition_on_random_ideals(gens, b):
     )
 
 
+def test_facet_masks_match_the_definition_at_support_24():
+    rng = random.Random(24)
+    n = 27
+    lat = [[rng.randint(1, 3) for _ in range(n)] for _ in range(6)]
+    for b in lat:
+        for j in rng.sample(range(n), n - 24):
+            b[j] = 0
+    # Generators below a row of lat; every fourth one, and every one made
+    # from the last row, is raised above it in one position.
+    G = []
+    for r in range(42):
+        g = [rng.randint(0, e) for e in lat[r % 6]]
+        if r % 4 == 0 or r % 6 == 5:
+            g[rng.randrange(n)] += 4
+        G.append(g)
+    # The generator below lat[0] everywhere but its last support position.
+    last = max(j for j in range(n) if lat[0][j])
+    G.append([e if j == last else max(e - 1, 0) for j, e in enumerate(lat[0])])
+    facets, inside = _facet_masks(np.array(G, dtype=np.uint8), np.array(lat, dtype=np.uint8))
+    assert facets.dtype == np.uint32
+    for r, b in enumerate(lat):
+        support = [j for j in range(n) if b[j]]
+        assert len(support) == 24
+        divides = [all(g[j] <= b[j] for j in range(n)) for g in G]
+        assert inside[r] == any(divides)
+        assert facets[r].tolist() == [
+            sum(1 << i for i, j in enumerate(support) if g[j] < b[j]) if d else 0
+            for g, d in zip(G, divides)
+        ]
+    assert inside.tolist() == [True] * 5 + [False]
+    assert facets[0, -1] == (1 << 24) - 1 - (1 << 23)
+    assert int(facets.max()) >> 23 == 1
+
+
+def test_face_indicators_close_the_facets_downwards():
+    rng = random.Random(8)
+    for k in range(11):
+        rows, q = 5, 4
+        facets = np.array(
+            [[rng.randrange(1 << k) for _ in range(q)] for _ in range(rows)], dtype=np.uint32
+        )
+        facets[1, 1:] = 0  # one facet; the rest are the empty face
+        inside = np.ones(rows, dtype=bool)
+        inside[3] = False  # no generator divides: the void complex
+        facets[3] = 0
+        ind = _face_indicators(facets, inside, k)
+        assert ind.shape == (rows, max(8, 1 << k)) and ind.dtype == bool
+        for r in range(rows):
+            want = [
+                bool(inside[r]) and f < 1 << k and any(f & ~int(F) == 0 for F in facets[r])
+                for f in range(ind.shape[1])
+            ]
+            assert ind[r].tolist() == want
+
+
 # ---------------------------------------------------------------- batched homology
 
 
 def indicators(complexes, k: int) -> np.ndarray:
-    """Boolean (rows, 2^k) face indicators of complexes on vertices 0..k-1."""
-    ind = np.zeros((len(complexes), 1 << k), dtype=bool)
+    """Face indicators of complexes on vertices 0..k-1, whole words wide.
+
+    Boolean (rows, max(8, 2^k)), as _face_indicators returns them.
+    """
+    ind = np.zeros((len(complexes), max(8, 1 << k)), dtype=bool)
     for r, faces in enumerate(complexes):
         for f in faces:
             ind[r, sum(1 << v for v in f)] = True
@@ -314,7 +372,7 @@ def test_batch_homology_of_cones_and_of_no_rows(monkeypatch):
     assert list(_batch_homology(indicators(cones[:1], 1), 2)) == []
     assert list(_batch_homology(indicators(cones, 6), 2)) == []
     for k in (0, 2, 3, 5):
-        assert list(_batch_homology(np.zeros((0, 1 << k), dtype=bool), 3)) == []
+        assert list(_batch_homology(indicators([], k), 3)) == []
     assert _critical_counts(np.zeros((0, 16), dtype=bool)).shape == (0, 5)
     assert calls == []
 
@@ -417,7 +475,8 @@ def test_unary_walk_matches_the_definition_on_random_ideals():
 @pytest.mark.parametrize(
     "ambient, top, dtype",
     [(63, 1, np.int64), (21, 3, np.int64), (9, 7, np.int64),
-     (64, 1, object), (32, 2, object), (16, 4, object), (8, 8, object)],
+     (64, 1, object), (32, 2, object), (16, 4, object), (8, 8, object),
+     (32, 1, np.uint32), (16, 2, np.uint32), (8, 4, np.uint32), (33, 1, np.int64)],
 )
 def test_unary_walk_switches_to_python_ints_at_64_bits(monkeypatch, ambient, top, dtype):
     dtypes = set()
