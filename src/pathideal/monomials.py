@@ -84,9 +84,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return not any(self.exponents)
 
-    def is_variable(self) -> bool:
-        return self.degree == 1
-
     def support(self) -> frozenset[int]:
         """1-based indices of the variables dividing this monomial."""
         return frozenset(i + 1 for i, e in enumerate(self.exponents) if e)
@@ -229,12 +226,6 @@ class MonomialIdeal:
 
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(g.degree for g in self.generators)
-
-    def support(self) -> frozenset[int]:
-        out: frozenset[int] = frozenset()
-        for g in self.generators:
-            out |= g.support()
-        return out
 
     def __str__(self) -> str:
         if self.is_zero():

@@ -523,9 +523,6 @@ class BettiTable:
             out[key] = out.get(key, 0) + r
         return dict(sorted(out.items()))
 
-    def num_generators(self) -> int:
-        return self.total(0)
-
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(sorted({sum(b) for (i, b) in self.entries if i == 0}))
 

@@ -16,13 +16,13 @@ import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Iterator
 
 from ._version import __version__
 from .cache import BettiCache, cached_betti_table
 from .errors import ColonFormMismatchError, PathIdealError, SizeCapExceededError
 from .formulas import (
-    gamma,
     linear_resolution_predicate,
     pd_closed_form,
     reg_power,
@@ -97,12 +97,8 @@ class SweepConfig:
             raise ValueError("grid bounds, caps, jobs and chars must be integers")
         if self.t_min < 2:
             raise ValueError("t_min must be >= 2")
-        if self.t_max < self.t_min:
-            raise ValueError("empty t range")
-        if self.n_max < self.t_min:
-            raise ValueError("empty n range")
-        if self.s_min < 1 or self.s_max < self.s_min:
-            raise ValueError("bad s range")
+        if self.s_min < 1:
+            raise ValueError("s_min must be >= 1")
         if not self.chars:
             raise ValueError("need at least one characteristic")
         if len(set(self.chars)) < len(self.chars):
@@ -113,6 +109,10 @@ class SweepConfig:
             raise ValueError("caps must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if self.cache_dir is not None and type(self.cache_dir) is not str:
+            raise ValueError("cache_dir must be a string or null")
+        if not sweep_cells(self):
+            raise ValueError("the grid has no cell")
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,7 @@ class Row:
     repro: str | None = None
 
     def to_dict(self, include_ms: bool = True) -> dict:
-        out = {
-            "n": self.n,
-            "t": self.t,
-            "s": self.s,
-            "quantity": self.quantity,
-            "formula": self.formula,
-            "oracle": self.oracle,
-            "status": self.status,
-        }
+        out = {column: getattr(self, column) for column in CSV_COLUMNS[:-1]}
         if include_ms:
             out["ms"] = round(self.ms, 3)
         if self.repro is not None:
@@ -273,251 +265,189 @@ class _CellState:
         )
 
 
-def _cell_rows(cfg: SweepConfig, n: int, t: int, s: int) -> list[Row]:
-    cache = BettiCache(cfg.cache_dir)
-    state = _CellState(cfg, n, t, s, cache)
-    rows: list[Row] = []
+@dataclass(frozen=True)
+class _Quantity:
+    """A checked row; if it fails, ``pathideal <command> <cell> <flags>`` reruns it."""
 
-    def add(
-        quantity: str,
-        formula: Any,
-        oracle_fn: Callable[[], Any],
-        repro: str | None = None,
-        report_only: bool = False,
-    ) -> None:
-        t0 = time.perf_counter()
-        status = "pass"
-        oracle_val: Any = None
-        try:
-            oracle_val = oracle_fn()
-        except SizeCapExceededError as exc:
-            status = "skipped"
-            log.info("cell (%d,%d,%d) %s skipped: %s", n, t, s, quantity, exc)
-        except PathIdealError as exc:
-            # One broken cell must not abort the sweep, or its pool.
-            status = "fail"
-            oracle_val = f"{type(exc).__name__}: {exc}"
-            log.warning("cell (%d,%d,%d) %s failed: %s", n, t, s, quantity, exc)
-        ms = (time.perf_counter() - t0) * 1000.0
-        if status == "pass":
-            if report_only:
-                status = "info"
-                if oracle_val != formula:
-                    log.warning(
-                        "report-only mismatch at (%d,%d,%d) %s: formula %r, oracle %r",
-                        n, t, s, quantity, formula, oracle_val,
-                    )
-            elif oracle_val != formula:
-                status = "fail"
-        rows.append(
-            Row(
-                n, t, s, quantity, formula, oracle_val, status, ms,
-                repro=repro if status == "fail" else None,
-            )
-        )
+    name: str
+    formula: Any
+    oracle: Callable[[_CellState], Any]
+    command: str
+    flags: str = ""
+    report_only: bool = False
 
-    primary = cfg.chars[0]
-    in_overlap = t <= n <= 2 * t
-    beyond = n >= 2 * t + 1
 
-    def generators_oracle() -> Any:
-        pairs = state.pairs()
-        exps = [m.exponents for _, m in pairs]
-        if len(set(exps)) != len(exps):
-            return "duplicate power generators"
-        brute = state.power_ideal()
-        if set(exps) != {g.exponents for g in brute.generators}:
-            return "composition route disagrees with product route"
-        return len(pairs)
+def _generators(state: _CellState) -> Any:
+    pairs = state.pairs()
+    exps = [m.exponents for _, m in pairs]
+    if len(set(exps)) != len(exps):
+        return "duplicate power generators"
+    if set(exps) != {g.exponents for g in state.power_ideal().generators}:
+        return "composition route disagrees with product route"
+    return len(pairs)
 
-    add(
-        "generators",
-        composition_count(s, n - t + 1),
-        generators_oracle,
-        repro=f"pathideal gens --n {n} --t {t} --power {s}",
+
+def _read(p: int, read: Callable[[BettiTable], Any], state: _CellState) -> Any:
+    return read(state.table(p))
+
+
+def _betti(p: int, state: _CellState) -> Any:
+    table = state.table(p)
+    d = state.s * state.t
+    stray = [(i, sum(b)) for (i, b) in table.entries if sum(b) != i + d]
+    if stray:
+        return f"entries off the linear strand: {sorted(stray)}"
+    return [table.total(i) for i in range(table.max_index() + 1)]
+
+
+def _linear_quotients(state: _CellState) -> Any:
+    try:
+        outcome = state.quotients()
+    except ColonFormMismatchError as exc:
+        return f"closed-form mismatch: {exc}"
+    if isinstance(outcome, QuotientCertificate):
+        return True
+    return f"colon at position {outcome.position} not variable-generated"
+
+
+def _census(state: _CellState) -> Any:
+    outcome = state.quotients()
+    if not isinstance(outcome, QuotientCertificate):
+        return "no certificate"
+    census = outcome.census()
+    return [census.get(k, 0) for k in range(1, state.n - state.t + 1)]
+
+
+def _quasi_linear(state: _CellState) -> bool:
+    return quasi_linear_check(state.power_ideal()).is_quasi_linear
+
+
+def _witness(state: _CellState) -> str:
+    state.pairs()  # the cell's power cap skips this row like the others
+    w = quasi_linear_witness(state.spec, state.s)
+    if not w.valid:
+        return "witness facts violated"
+    if any(g.degree != 1 for g in w.colon_generators):
+        return f"x{w.variable}"
+    return "colon is variable-generated"
+
+
+def _colon_lemma(state: _CellState) -> bool:
+    u_last = line_graph_generators(state.spec)[-1]
+    lower = ideal_power(
+        path_ideal(state.spec), state.s - 1, max_products=state.cfg.power_cap
     )
+    return colon_by_monomial(state.power_ideal(), u_last) == lower
 
+
+def _augmented(j: int, state: _CellState) -> int:
+    extra = line_graph_generators(state.spec)[j - 1 :]
+    augmented = minimalize(state.power_ideal().generators + tuple(extra), ambient=state.n)
+    cfg = state.cfg
+    table = cached_betti_table(
+        augmented, FieldSpec(cfg.chars[0]), state.cache, cfg.lattice_cap
+    )
+    return table.quotient_regularity()
+
+
+def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]:
+    """The quantities checked on cell (n, t, s), in the order they are run.
+
+    Every grid cell has n >= t.  The overlap n <= 2t checks the linear
+    resolution's invariants; beyond it, the quasi-linearity breaker.
+    """
+    overlap = n <= 2 * t
+    yield _Quantity("generators", composition_count(s, n - t + 1), _generators, "gens")
     for p in cfg.chars:
-        suffix = "" if p == primary else f"@p{p}"
-
-        def reg_oracle(p=p) -> int:
-            return state.table(p).quotient_regularity()
-
-        add(
-            f"reg{suffix}",
-            reg_power(n, t, s),
-            reg_oracle,
-            repro=f"pathideal reg --n {n} --t {t} --power {s} --char {p}",
-        )
-
-        def linear_oracle(p=p) -> bool:
-            return state.table(p).is_linear()
-
-        add(
-            f"linear_resolution{suffix}",
-            linear_resolution_predicate(n, t),
-            linear_oracle,
-            repro=f"pathideal betti --n {n} --t {t} --power {s} --char {p}",
-        )
-
-        if in_overlap:
-            top = min(n - t, s)
-
-            def betti_oracle(p=p, top=top) -> Any:
-                table = state.table(p)
-                d = s * t
-                stray = [
-                    (i, sum(b))
-                    for (i, b) in table.entries
-                    if sum(b) != i + d
-                ]
-                if stray:
-                    return f"entries off the linear strand: {sorted(stray)}"
-                return [table.total(i) for i in range(table.max_index() + 1)]
-
-            add(
-                f"betti{suffix}",
-                [betti_closed_form(n, t, s, i) for i in range(top + 1)],
-                betti_oracle,
-                repro=f"pathideal betti --n {n} --t {t} --power {s} --char {p}",
-            )
-
-            def pd_oracle(p=p) -> int:
-                return state.table(p).quotient_projective_dimension()
-
-            add(
-                f"pd{suffix}",
-                pd_closed_form(n, t, s),
-                pd_oracle,
-                repro=f"pathideal betti --n {n} --t {t} --power {s} --char {p}",
-            )
-
-    if in_overlap:
-
-        def quotients_oracle() -> Any:
-            try:
-                outcome = state.quotients()
-            except ColonFormMismatchError as exc:
-                return f"closed-form mismatch: {exc}"
-            if isinstance(outcome, QuotientCertificate):
-                return True
-            return f"colon at position {outcome.position} not variable-generated"
-
-        add(
-            "linear_quotients",
-            True,
-            quotients_oracle,
-            repro=f"pathideal check --n {n} --t {t} --power {s} --mode quotients",
-        )
-
-        def census_oracle() -> Any:
-            outcome = state.quotients()
-            if not isinstance(outcome, QuotientCertificate):
-                return "no certificate"
-            census = outcome.census()
-            return [census.get(k, 0) for k in range(1, n - t + 1)]
-
-        add(
-            "s_k_census",
-            [s_k_closed_form(n, t, s, k) for k in range(1, n - t + 1)],
-            census_oracle,
-            repro=f"pathideal check --n {n} --t {t} --power {s} --mode quotients",
-        )
-
-    if beyond:
-
-        def quasi_oracle() -> bool:
-            return quasi_linear_check(state.power_ideal()).is_quasi_linear
-
-        add(
-            "quasi_linear",
-            False,
-            quasi_oracle,
-            repro=f"pathideal check --n {n} --t {t} --power {s} --mode quasi",
-        )
-
-        def witness_oracle() -> str:
-            state.pairs()  # the cell's power cap skips this row like the others
-            w = quasi_linear_witness(state.spec, s)
-            if not w.valid:
-                return "witness facts violated"
-            if any(g.degree != 1 for g in w.colon_generators):
-                return f"x{w.variable}"
-            return "colon is variable-generated"
-
-        add(
-            "quasi_linear_witness",
-            f"x{n - t}",
-            witness_oracle,
-            repro=f"pathideal check --n {n} --t {t} --power {s} --mode quasi",
-        )
-
+        at = "" if p == cfg.chars[0] else f"@p{p}"
+        char = f"--char {p}"
+        reg = partial(_read, p, BettiTable.quotient_regularity)
+        linear = partial(_read, p, BettiTable.is_linear)
+        yield _Quantity(f"reg{at}", reg_power(n, t, s), reg, "reg", char)
+        yield _Quantity(f"linear_resolution{at}", linear_resolution_predicate(n, t),
+                        linear, "betti", char)
+        if overlap:
+            betti = [betti_closed_form(n, t, s, i) for i in range(min(n - t, s) + 1)]
+            pd = partial(_read, p, BettiTable.quotient_projective_dimension)
+            yield _Quantity(f"betti{at}", betti, partial(_betti, p), "betti", char)
+            yield _Quantity(f"pd{at}", pd_closed_form(n, t, s), pd, "betti", char)
+    if overlap:
+        census = [s_k_closed_form(n, t, s, k) for k in range(1, n - t + 1)]
+        quotients = "--mode quotients"
+        yield _Quantity("linear_quotients", True, _linear_quotients, "check", quotients)
+        yield _Quantity("s_k_census", census, _census, "check", quotients)
+    else:
+        quasi = "--mode quasi"
+        yield _Quantity("quasi_linear", False, _quasi_linear, "check", quasi)
+        yield _Quantity("quasi_linear_witness", f"x{n - t}", _witness, "check", quasi)
+    # the sweep settings these rows depend on, so that the repro reruns them
+    sweep = (f"--char {cfg.chars[0]} --deep-n-max {cfg.deep_n_max} "
+             f"--augmented-s-max {cfg.augmented_s_max} --power-cap {cfg.power_cap} "
+             f"--lattice-cap {cfg.lattice_cap}")
     if s >= 2:
-
-        def colon_lemma_oracle() -> bool:
-            u_last = line_graph_generators(state.spec)[-1]
-            lower = ideal_power(
-                path_ideal(state.spec), s - 1, max_products=cfg.power_cap
-            )
-            return colon_by_monomial(state.power_ideal(), u_last) == lower
-
-        add(
-            "colon_lemma",
-            True,
-            colon_lemma_oracle,
-            repro=f"pathideal verify --t-min {t} --t-max {t} "
-            f"--n-min {n} --n-max {n} --s-min {s} --s-max {s}",
-        )
-
-    if s <= cfg.augmented_s_max and (beyond or in_overlap) and n - t + 1 >= 2:
+        yield _Quantity("colon_lemma", True, _colon_lemma, "verify", sweep)
+    if s <= cfg.augmented_s_max:
         for j in range(2, n - t + 2):
-
-            def augmented_oracle(j=j) -> int:
-                extra = line_graph_generators(state.spec)[j - 1 :]
-                augmented = minimalize(
-                    state.power_ideal().generators + tuple(extra), ambient=n
-                )
-                table = cached_betti_table(
-                    augmented, FieldSpec(primary), cache, cfg.lattice_cap
-                )
-                return table.quotient_regularity()
-
-            add(
+            yield _Quantity(
                 f"reg_augmented_j{j}",
-                reg_power_augmented(n, t, s, j)
-                if beyond
-                else gamma(n, t) + t * (s - 1),
-                augmented_oracle,
-                repro=f"pathideal verify --t-min {t} --t-max {t} "
-                f"--n-min {n} --n-max {n} --s-min {s} --s-max {s}",
-                report_only=not beyond,
+                reg_power(n, t, s) if overlap else reg_power_augmented(n, t, s, j),
+                partial(_augmented, j), "verify", sweep, report_only=overlap,
             )
 
-    return rows
+
+def _row(state: _CellState, q: _Quantity) -> Row:
+    """Run one quantity's oracle on the cell and judge it against the formula."""
+    n, t, s = state.n, state.t, state.s
+    t0 = time.perf_counter()
+    try:
+        status, oracle = "pass", q.oracle(state)
+    except SizeCapExceededError as exc:
+        status, oracle = "skipped", None
+        log.info("cell (%d,%d,%d) %s skipped: %s", n, t, s, q.name, exc)
+    except PathIdealError as exc:
+        # One broken cell must not abort the sweep, or its pool.
+        status, oracle = "fail", f"{type(exc).__name__}: {exc}"
+        log.warning("cell (%d,%d,%d) %s failed: %s", n, t, s, q.name, exc)
+    ms = (time.perf_counter() - t0) * 1000.0
+    if status == "pass" and q.report_only:
+        status = "info"
+        if oracle != q.formula:
+            log.warning(
+                "report-only mismatch at (%d,%d,%d) %s: formula %r, oracle %r",
+                n, t, s, q.name, q.formula, oracle,
+            )
+    elif status == "pass" and oracle != q.formula:
+        status = "fail"
+    repro = None
+    if status == "fail":
+        if q.command == "verify":
+            cell = (f"--t-min {t} --t-max {t} --n-min {n} --n-max {n} "
+                    f"--s-min {s} --s-max {s}")
+        else:
+            cell = f"--n {n} --t {t} --power {s}"
+        repro = " ".join(filter(None, ("pathideal", q.command, cell, q.flags)))
+    return Row(n, t, s, q.name, q.formula, oracle, status, ms, repro=repro)
 
 
-def _cell_rows_task(args: tuple[SweepConfig, tuple[int, int, int]]) -> list[Row]:
-    cfg, (n, t, s) = args
-    return _cell_rows(cfg, n, t, s)
+def _cell_rows(cfg: SweepConfig, cell: tuple[int, int, int]) -> list[Row]:
+    state = _CellState(cfg, *cell, BettiCache(cfg.cache_dir))
+    return [_row(state, q) for q in _quantities(cfg, *cell)]
 
 
 def run_sweep(cfg: SweepConfig) -> VerificationReport:
     """Run every cell of the grid and assemble the deterministic report."""
     cells = sweep_cells(cfg)
+    cell_rows = partial(_cell_rows, cfg)
     if cfg.jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            parts = list(pool.map(_cell_rows_task, [(cfg, c) for c in cells]))
-        rows = [row for part in parts for row in part]
+            parts = list(pool.map(cell_rows, cells))
     else:
-        rows = [row for (n, t, s) in cells for row in _cell_rows(cfg, n, t, s)]
-    rows.sort(key=lambda r: (r.n, r.t, r.s, r.quantity))
-    summary = {
-        "pass": sum(r.status == "pass" for r in rows),
-        "fail": sum(r.status == "fail" for r in rows),
-        "skipped": sum(r.status == "skipped" for r in rows),
-        "info": sum(r.status == "info" for r in rows),
-        "total": len(rows),
-    }
+        parts = map(cell_rows, cells)
+    rows = sorted((row for part in parts for row in part),
+                  key=lambda r: (r.n, r.t, r.s, r.quantity))
+    summary = {status: sum(r.status == status for r in rows)
+               for status in ("pass", "fail", "skipped", "info")}
+    summary["total"] = len(rows)
     config = asdict(cfg)
     config["chars"] = list(cfg.chars)
     return VerificationReport(

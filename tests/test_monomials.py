@@ -108,9 +108,8 @@ def test_monomial_accessors():
     assert a.degree == 3
     assert a.degree_of(1) == 2 and a.degree_of(2) == 0
     assert a.support() == frozenset({1, 3})
-    assert not a.is_unit() and not a.is_variable()
+    assert not a.is_unit()
     assert unit(3).is_unit()
-    assert variable(3, 2).is_variable()
     assert str(variable(3, 2)) == "x2"
     assert str(unit(3)) == "1"
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import shlex
@@ -87,6 +88,13 @@ def test_config_validation():
     for bad in ({"jobs": 1.5}, {"lattice_cap": 2.5}, {"jobs": True}, {"chars": ("2",)}):
         with pytest.raises(ValueError, match="must be integers"):
             SweepConfig(**bad)
+    # a grid without cells would pass vacuously
+    for empty in ({"n_min": 12, "n_max": 3}, {"n_min": 10}, {"n_min": 8, "s_min": 3}):
+        with pytest.raises(ValueError, match="no cell"):
+            SweepConfig(**empty)
+    for bad_dir in (5, ["cache"], Path("cache")):
+        with pytest.raises(ValueError, match="cache_dir"):
+            SweepConfig(cache_dir=bad_dir)
 
 
 # ---------------------------------------------------------------- sweeps
@@ -192,6 +200,44 @@ def test_linear_quotients_check_runs_once_per_cell(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path / "cache", jobs=1)
     assert run_sweep(cfg).summary["fail"] == 0
     assert sorted(calls) == [c for c in sweep_cells(cfg) if c[1] <= c[0] <= 2 * c[1]]
+
+
+def test_default_sweep_matches_the_benchmark_golden(tmp_path):
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    want = json.loads(golden.read_text(encoding="utf-8"))["sweep"]
+    report = run_sweep(SweepConfig(cache_dir=str(tmp_path / "cache")))
+    rows = [r.to_dict(include_ms=False) for r in report.rows]
+    blob = json.dumps({"rows": rows, "summary": report.summary},
+                      sort_keys=True, separators=(",", ":"))
+    assert report.summary == want["summary"]
+    assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == want["digest"]
+
+
+def test_sweep_repros_rerun_their_rows(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise PathIdealError("broken on purpose")
+
+    # colon_lemma and reg_augmented_j* rerun as `pathideal verify`, which
+    # must carry every setting the row depends on: here, none is a default.
+    monkeypatch.setattr(verify_mod, "colon_by_monomial", broken)
+    monkeypatch.setattr(verify_mod, "minimalize", broken)
+    cfg = SweepConfig(t_min=2, t_max=2, n_min=8, n_max=8, s_min=3, s_max=3,
+                      deep_n_max=8, augmented_s_max=3, chars=(3,),
+                      power_cap=150_000, lattice_cap=100_000,
+                      cache_dir=str(tmp_path / "cache"))
+    failed = run_sweep(cfg).failures()
+    assert {r.quantity for r in failed} == {"colon_lemma"} | {
+        f"reg_augmented_j{j}" for j in range(2, 8)
+    }
+    for row in failed:
+        argv = shlex.split(row.repro)
+        assert argv[:2] == ["pathideal", "verify"]
+        rerun = _sweep_config(build_parser().parse_args(argv[1:]))
+        assert rerun == dataclasses.replace(cfg, cache_dir=None)
+        rerun = dataclasses.replace(rerun, cache_dir=str(tmp_path / "cache"))
+        assert (row.n, row.t, row.s, row.quantity) in {
+            (r.n, r.t, r.s, r.quantity) for r in run_sweep(rerun).rows
+        }
 
 
 def test_parallel_sweep_matches_serial(tmp_path):
@@ -610,7 +656,8 @@ def test_cli_verify_rejects_bad_config(capsys, tmp_path):
     for config in (
         {"t_min": 1}, {"chars": 2}, {"chars": [4]}, {"chars": ["2"]},
         {"n_max": 5.5}, {"jobs": 1.5}, {"jobs": True}, {"deep_n_max": "7"},
-        {"chars": [2, 2]},
+        {"chars": [2, 2]}, {"n_min": 12, "n_max": 3}, {"s_min": 3, "n_min": 8},
+        {"cache_dir": 5}, {"cache_dir": ["/tmp/cache"]},
     ):
         code = main(["verify", "--config", write_config(tmp_path, config)])
         assert code == 2
