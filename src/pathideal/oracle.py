@@ -563,23 +563,6 @@ class BettiTable:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BettiTable":
-        entries = {}
-        for e in data["entries"]:
-            key = (int(e["i"]), tuple(int(x) for x in e["multidegree"]))
-            rank = int(e["rank"])
-            if rank <= 0 or key in entries:
-                raise ValueError("malformed Betti entries")
-            entries[key] = rank
-        table = cls(int(data["ambient"]), int(data["char"]), entries)
-        graded = [
-            {"i": i, "j": j, "rank": r} for (i, j), r in table.graded().items()
-        ]
-        if graded != data.get("graded"):
-            raise ValueError("graded roll-up disagrees with entries")
-        return table
-
     def __str__(self) -> str:
         if not self.entries:
             return "empty Betti table"

@@ -37,6 +37,7 @@ from .linearity import (
     quasi_linear_witness,
 )
 from .monomials import (
+    MonomialIdeal,
     colon_by_monomial,
     ideal_power,
     minimalize,
@@ -176,12 +177,15 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=1)
 
     def canonical_json(self) -> str:
-        """Deterministic serialization; runtime (ms) fields excluded."""
-        return json.dumps(
-            self.to_dict(include_ms=False),
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        """Deterministic serialization of the answers.
+
+        Leaves out what cannot change an answer: the rows' ms, and the
+        config's jobs and cache_dir (to_json keeps them for --config replay).
+        """
+        data = self.to_dict(include_ms=False)
+        data["config"] = {k: v for k, v in self.config.items()
+                          if k not in ("jobs", "cache_dir")}
+        return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
@@ -247,20 +251,28 @@ class _CellState:
             ),
         )
 
+    def lines(self):
+        """u_1, ..., u_{n-t+1}, for the colon_lemma and reg_augmented_j rows."""
+        return self._get("lines", lambda: line_graph_generators(self.spec))
+
     def quotients(self):
         self.pairs()  # the cell's power cap skips these rows like the others
         return self._get(
             "quotients", lambda: linear_quotients_check(self.spec, self.s)
         )
 
-    def table(self, p: int) -> BettiTable:
+    def table(self, p: int, ideal: MonomialIdeal | None = None) -> BettiTable:
+        """The table of ideal (by default the cell's power) over GF(p).
+
+        Memoized by (ideal, p), so the cache is read at most once per table
+        and cell: in an s = 1 cell every augmented ideal equals the power.
+        """
+        if ideal is None:
+            ideal = self.power_ideal()
         return self._get(
-            ("table", p),
+            ("table", ideal, p),
             lambda: cached_betti_table(
-                self.power_ideal(),
-                FieldSpec(p),
-                self.cache,
-                self.cfg.lattice_cap,
+                ideal, FieldSpec(p), self.cache, self.cfg.lattice_cap
             ),
         )
 
@@ -333,7 +345,7 @@ def _witness(state: _CellState) -> str:
 
 
 def _colon_lemma(state: _CellState) -> bool:
-    u_last = line_graph_generators(state.spec)[-1]
+    u_last = state.lines()[-1]
     lower = ideal_power(
         path_ideal(state.spec), state.s - 1, max_products=state.cfg.power_cap
     )
@@ -341,13 +353,9 @@ def _colon_lemma(state: _CellState) -> bool:
 
 
 def _augmented(j: int, state: _CellState) -> int:
-    extra = line_graph_generators(state.spec)[j - 1 :]
+    extra = state.lines()[j - 1 :]
     augmented = minimalize(state.power_ideal().generators + tuple(extra), ambient=state.n)
-    cfg = state.cfg
-    table = cached_betti_table(
-        augmented, FieldSpec(cfg.chars[0]), state.cache, cfg.lattice_cap
-    )
-    return table.quotient_regularity()
+    return state.table(state.cfg.chars[0], augmented).quotient_regularity()
 
 
 def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathideal.cache import BettiCache
 from pathideal.errors import SizeCapExceededError
 import pathideal.oracle as oracle_mod
 from pathideal.monomials import Monomial, MonomialIdeal, minimalize
@@ -747,25 +748,21 @@ def test_fieldspec_bounds_characteristic():
 # ---------------------------------------------------------------- serialization
 
 
-def test_betti_table_round_trip():
-    table = betti_table(power(5, 3, 2))
-    assert BettiTable.from_dict(table.to_dict()) == table
-
-
-def test_betti_table_from_dict_rejects_corruption():
-    data = betti_table(ideal(["x1*x2", "x2*x3"], 3)).to_dict()
-    bad = dict(data)
-    bad["graded"] = []
-    with pytest.raises(ValueError):
-        BettiTable.from_dict(bad)
-    bad = dict(data)
-    bad["entries"] = data["entries"] + [data["entries"][0]]
-    with pytest.raises(ValueError):
-        BettiTable.from_dict(bad)
-    bad = dict(data)
-    bad["entries"] = [{**data["entries"][0], "rank": 0}]
-    with pytest.raises(ValueError):
-        BettiTable.from_dict(bad)
+def test_betti_table_round_trip(tmp_path):
+    # Through a cache entry: the empty table and unit ideals (ambient 0
+    # included) too.
+    cache = BettiCache(tmp_path)
+    tables = [
+        betti_table(power(5, 3, 2)),
+        betti_table(power(4, 2, 2), FieldSpec(3)),
+        betti_table(MonomialIdeal(2, ())),
+        betti_table(minimalize([Monomial((0, 0))], ambient=2)),
+        BettiTable(0, 2, {(0, ()): 1}),
+    ]
+    for k, table in enumerate(tables):
+        cache.store(f"k{k}", table)
+        assert cache.lookup(f"k{k}") == table
+    assert (cache.hits, cache.misses) == (len(tables), 0)
 
 
 def test_betti_table_str_is_a_grid():

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import os
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -243,9 +245,27 @@ def test_sweep_repros_rerun_their_rows(tmp_path, monkeypatch):
 def test_parallel_sweep_matches_serial(tmp_path):
     serial = run_sweep(tiny_config(tmp_path / "c1"))
     parallel = run_sweep(tiny_config(tmp_path / "c2", jobs=2))
-    unrowed = lambda rep: [r.to_dict(include_ms=False) for r in rep.rows]
-    assert unrowed(serial) == unrowed(parallel)
-    assert serial.summary == parallel.summary
+    assert serial.canonical_json() == parallel.canonical_json()
+    # jobs and cache_dir stay in the full report, for --config replay
+    config = json.loads(parallel.to_json())["config"]
+    assert (config["jobs"], config["cache_dir"]) == (2, str(tmp_path / "c2"))
+
+
+def test_sweep_reads_each_table_once_per_cell(tmp_path, monkeypatch):
+    # In an s = 1 cell every augmented ideal I + (u_j, ..., u_k) is I itself.
+    lookups, real = [], BettiCache.lookup
+    monkeypatch.setattr(
+        BettiCache, "lookup",
+        lambda cache, key: lookups.append((cache, key)) or real(cache, key),
+    )
+    cfg = tiny_config(tmp_path / "cache", n_max=5, jobs=1)
+    cold = run_sweep(cfg)
+    warm = run_sweep(cfg)
+    assert cold.canonical_json() == warm.canonical_json()
+    # every cell has its own BettiCache, kept alive here so ids stay unique
+    per_cell = Counter((id(cache), key) for cache, key in lookups)
+    assert len({id(cache) for cache, _ in lookups}) == 2 * len(sweep_cells(cfg))
+    assert max(per_cell.values()) == 1
 
 
 def test_sweep_is_deterministic(tmp_path):
@@ -377,6 +397,54 @@ def test_cache_does_not_replay_older_oracle(tmp_path, monkeypatch):
     assert not entry.exists()
 
 
+def test_cache_evicts_unsound_entries(tmp_path):
+    cache = BettiCache(tmp_path / "cache")
+    want = cached_betti_table(EDGE_IDEAL_3, GF2, cache)
+    key = betti_cache_key(EDGE_IDEAL_3, 2)
+    entry = tmp_path / "cache" / f"{key}.json"
+    sound = entry.read_bytes()
+    good = json.loads(sound)
+    del good["sha256"]
+    assert cache_mod._sealed(good) == sound
+    assert (good["ambient"], good["i"], good["rank"]) == (3, [0, 0, 1], [1, 1, 1])
+    assert good["b"] == [0, 1, 1, 1, 1, 0, 1, 1, 1]
+    older_layout = {  # as entries were written before the flat layout
+        "key": key, "oracle_version": good["oracle_version"],
+        "table": {"ambient": 3, "char": 2,
+                  "entries": [{"i": 0, "multidegree": [0, 1, 1], "rank": 1}],
+                  "graded": [{"i": 0, "j": 2, "rank": 1}]},
+    }
+
+    def sealed(**changes):
+        # a valid digest, so that only the structure check can refuse it
+        return cache_mod._sealed({**good, **changes})
+
+    corruptions = {
+        "rank 1.9": sealed(rank=[1.9, 1, 1]),
+        "rank true": sealed(rank=[True, 1, 1]),
+        "exponent 0.0": sealed(b=[0.0] + good["b"][1:]),
+        "rank 0": sealed(rank=[0, 1, 1]),
+        "multidegree [2, 1] in ambient 3": sealed(b=[2, 1] + good["b"][3:]),
+        "multidegree [2, -1, 2]": sealed(b=[2, -1, 2] + good["b"][3:]),
+        "negative index": sealed(i=[-1, 0, 1]),
+        "repeated (i, b)": sealed(i=[0, 0, 0, 1], b=good["b"][:3] + good["b"],
+                                  rank=[1, 1, 1, 1]),
+        "ranks and entries disagree": sealed(rank=[1, 1]),
+        "nested arrays": sealed(b=[[0, 1, 1], [1, 1, 0], [1, 1, 1]]),
+        "digest mismatch": sound.replace(b'"rank":[1,1,1]', b'"rank":[2,1,1]'),
+        "no digest": json.dumps(good).encode(),
+        "older layout": json.dumps(older_layout, sort_keys=True,
+                                   separators=(",", ":")).encode(),
+        "older layout, sealed": cache_mod._sealed(older_layout),
+    }
+    for misses, (case, text) in enumerate(corruptions.items(), start=2):
+        entry.write_bytes(text)
+        assert cached_betti_table(EDGE_IDEAL_3, GF2, cache) == want, case
+        assert (cache.hits, cache.misses) == (0, misses), case
+        # evicted, recomputed and stored again
+        assert entry.read_bytes() == sound, case
+
+
 def test_cache_survives_unwritable_directory(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory", encoding="utf-8")
@@ -406,6 +474,27 @@ def test_second_sweep_is_served_from_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_mod, "betti_table", boom)
     second = run_sweep(cfg)
     assert first.canonical_json() == second.canonical_json()
+
+
+def test_perfbench_tracer_targets_exist(tmp_path, monkeypatch):
+    # perfbench/tracing.py wraps these by name from outside the package.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.TRACED_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), attr
+    for module, cls, attr, _ in tracing.TRACED_METHODS:
+        owner = getattr(importlib.import_module(module), cls)
+        assert callable(owner.__dict__.get(attr)), f"{cls}.{attr}"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_sweep(tiny_config(tmp_path / "cache", n_max=3, s_max=1, jobs=1))
+    finally:
+        tracer.uninstall()
+    assert {"cache.lookup", "cache.store", "oracle.betti_table"} <= set(tracer.stats())
 
 
 # ---------------------------------------------------------------- config file
