@@ -7,12 +7,13 @@ x^b / x^sigma in I.  Only multidegrees in the lcm lattice of the generators
 can contribute, so the oracle closes the generator set under joins with the
 generators and computes homology at every lattice point whose K^b is not a
 full simplex, one of each mirror pair when the reversal of the variables
-fixes the generators.  K^b is built from its facets, one per generator
-dividing x^b.  A batch of complexes is settled at once: cones are dropped,
-the rest are reduced by a sequence of element matchings, an acyclic
-matching, and a complex whose critical faces all have one size has that
-many homology classes.  Only the few others are ranked, relative to the
-closed star of one vertex.
+fixes the generators, and only the points with b_1 > 0 when translation
+along the path does: the others are their translates.  K^b is built from
+its facets, one per generator dividing x^b.  A batch of complexes is
+settled at once: cones are dropped, the rest are reduced by a sequence of
+element matchings, an acyclic matching, and a complex whose critical faces
+all have one size has that many homology classes.  Only the few others
+are ranked, relative to the closed star of one vertex.
 
 Everything here is exact: GF(2) ranks use integer bitsets, odd primes use
 dense modular Gaussian elimination.  Rational homology is out of scope.
@@ -43,7 +44,9 @@ __all__ = [
 
 # Hard cap on the number of distinct multidegrees visited per ideal.  For
 # lcm_lattice it counts the whole lattice; for betti_table it counts the
-# points its walk keeps, those whose K^b is not a full simplex.
+# points its walk keeps, those whose K^b is not a full simplex, and of those
+# only the anchored ones (b_1 > 0) when the generators are closed under
+# translation along the path, as the powers of path ideals are.
 DEFAULT_LATTICE_CAP = 200_000
 
 # Version of the oracle's answers; cached tables from another version are
@@ -409,7 +412,9 @@ def _unique(codes: np.ndarray) -> np.ndarray:
     return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
 
 
-def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False) -> np.ndarray:
+def _lcm_lattice_encoded(
+    G: np.ndarray, cap: int, prune: bool = False, anchored: bool = False
+) -> np.ndarray:
     """The lcm lattice of the generator rows of G, as rows in lex order.
 
     Rows are coded in unary: field j holds b_j low set bits, every field is
@@ -427,6 +432,13 @@ def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False) -> np.nda
     never joined further.  That returns exactly the other lattice points,
     because the full points form an up-set, closed under joining with any
     generator: every lcm-chain to a kept point passes through kept points.
+
+    With anchored, the walk starts from the generators with g_1 > 0 only and
+    returns exactly the points with b_1 > 0: each is g v h_1 v ... v h_r for
+    some such g, and every point on that chain has b_1 > 0 and lies below
+    its end, so with prune too the up-set argument holds as before.
+
+    On either walk the cap counts the points kept, the starting ones too.
     """
     q, n = G.shape
     w = max(1, int(G.max(initial=0)))
@@ -449,23 +461,21 @@ def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False) -> np.nda
             keep[lo : lo + step] = (part == 0) | ((gens & ~topped) != 0).all(axis=1)
         return codes[keep]
 
-    seen = kept(_unique(gens))
-    frontier = seen
+    frontier = kept(_unique(gens[G[:, 0] > 0] if anchored else gens))
+    seen = frontier[:0]
     while frontier.size:
-        fresh = []
-        for lo in range(0, frontier.size, step):
-            codes = _unique(frontier[lo : lo + step, None] | gens)
-            pos = np.minimum(np.searchsorted(seen, codes), seen.size - 1)
-            fresh.append(codes[seen[pos] != codes])
-        frontier = kept(_unique(np.concatenate(fresh)))
-        if frontier.size == 0:
-            break
         seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
         if seen.size > cap:
             raise SizeCapExceededError(
                 f"lcm lattice exceeded cap {cap} (reached {seen.size})",
                 count=int(seen.size),
             )
+        fresh = []
+        for lo in range(0, frontier.size, step):
+            codes = _unique(frontier[lo : lo + step, None] | gens)
+            pos = np.minimum(np.searchsorted(seen, codes), seen.size - 1)
+            fresh.append(codes[seen[pos] != codes])
+        frontier = kept(_unique(np.concatenate(fresh)))
     # b_j is the number of set bits in field j.  Adding (code >> i) & ones
     # over i < w counts them into the bottom of each field; a count is at
     # most w < 2^w, so it never carries into the next field.
@@ -578,12 +588,39 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def _mirror_half(lat: np.ndarray) -> np.ndarray:
-    """The rows b of lat with b <=_lex rev(b), palindromes included."""
-    rev = lat[:, ::-1]
+def _shift_closed(gens: list[tuple[int, ...]]) -> bool:
+    """Whether the generators are closed under translation along the path.
+
+    That is: there are two or more variables, no generator is 1, and
+    shifting the generators with g_1 = 0 one place left gives exactly those
+    with g_n = 0.  Generators are sorted, and the shift keeps their order.
+    """
+    return (
+        len(gens[0]) > 1
+        and all(map(any, gens))
+        and [g[1:] + (0,) for g in gens if g[0] == 0] == [g for g in gens if g[-1] == 0]
+    )
+
+
+def _spans(lat: np.ndarray, anchored: bool) -> np.ndarray:
+    """The window m of each row: its last nonzero position when anchored, else n."""
+    n = lat.shape[1]
+    if anchored:
+        return n - (lat[:, ::-1] > 0).argmax(axis=1)
+    return np.full(lat.shape[0], n)
+
+
+def _mirror_half(lat: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Which rows b of lat have b[:m] <=_lex rev(b[:m]), m = span, palindromes too.
+
+    Rows are zero past their span, so there b is compared with itself.
+    """
+    j = np.arange(lat.shape[1])
+    at = span[:, None] - 1 - j
+    rev = np.take_along_axis(lat, np.where(at >= 0, at, j), axis=1)
     first = (lat != rev).argmax(axis=1)
-    at = np.arange(lat.shape[0])
-    return lat[lat[at, first] <= rev[at, first]]
+    rows = np.arange(lat.shape[0])
+    return lat[rows, first] <= rev[rows, first]
 
 
 def betti_table(
@@ -593,27 +630,37 @@ def betti_table(
 ) -> BettiTable:
     """Full multigraded Betti table of the ideal over GF(p).
 
-    Only lattice points whose K^b is not a full simplex are visited.  When
-    the reversal x_i -> x_{n+1-i} fixes the generators, it maps K^b onto
-    K^{rev b}, so beta_{i,b} = beta_{i,rev b} and one of each pair is
-    computed.  The complexes are settled a batch at a time by element
-    matchings (_batch_homology); a rank is taken only for those whose
-    critical faces have two or more sizes.
+    Only lattice points whose K^b is not a full simplex are visited.
+    beta_{i,b} depends only on the generators dividing x^b, which build K^b.
+    So when the generators are closed under translation (_shift_closed),
+    beta_{i,b} = beta_{i,shift b} for every b with b_1 = 0: only the points
+    with b_1 > 0 are walked, and each entry is written at every offset its
+    window b[:m], m the last nonzero position, fits.  When the reversal
+    x_i -> x_{n+1-i} fixes the generators, it maps K^b onto K^{rev b}, so
+    beta_{i,b} = beta_{i,rev b}; with translation, beta_{i,b} equals the
+    beta of the reversed window rev(b[:m]).  Then one of each pair is
+    computed, within the window.  The complexes are settled a batch at a
+    time by element matchings (_batch_homology); a rank is taken only for
+    those whose critical faces have two or more sizes.
     """
     p = fieldspec.characteristic
     if ideal.is_zero():
         return BettiTable(ideal.ambient, p, {})
+    n = ideal.ambient
     gens = [g.exponents for g in ideal.generators]
     G = np.array(gens, dtype=np.int64)
-    lat = _lcm_lattice_encoded(G, lattice_cap, prune=True)
-    mirror = ideal.ambient > 1 and sorted(g[::-1] for g in gens) == gens
+    shift = _shift_closed(gens)
+    lat = _lcm_lattice_encoded(G, lattice_cap, prune=True, anchored=shift)
+    mirror = n > 1 and sorted(g[::-1] for g in gens) == gens
     if mirror:
-        lat = _mirror_half(lat)
+        lat = lat[_mirror_half(lat, _spans(lat, shift))]
     entries: dict[tuple[int, tuple[int, ...]], int] = {}
     for part, ind in _koszul_batches(G, lat):
+        spans = _spans(part, shift).tolist()
         for r, i, h in _batch_homology(ind, p):
-            b = tuple(part[r].tolist())
-            entries[(i, b)] = h
-            if mirror:
-                entries[(i, b[::-1])] = h
-    return BettiTable(ideal.ambient, p, entries)
+            m = spans[r]
+            window = tuple(part[r, :m].tolist())
+            for b in {window, window[::-1]} if mirror else (window,):
+                for at in range(n - m + 1):
+                    entries[(i, (0,) * at + b + (0,) * (n - m - at))] = h
+    return BettiTable(n, p, entries)

@@ -174,7 +174,8 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        # Without indent, json uses its C encoder.
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def canonical_json(self) -> str:
         """Deterministic serialization of the answers.
@@ -353,8 +354,11 @@ def _colon_lemma(state: _CellState) -> bool:
 
 
 def _augmented(j: int, state: _CellState) -> int:
-    extra = state.lines()[j - 1 :]
-    augmented = minimalize(state.power_ideal().generators + tuple(extra), ambient=state.n)
+    # At s = 1 every u_j is a generator of I, so the sum is I itself.
+    augmented = state.power_ideal()
+    if state.s > 1:
+        extra = tuple(state.lines()[j - 1 :])
+        augmented = minimalize(augmented.generators + extra, ambient=state.n)
     return state.table(state.cfg.chars[0], augmented).quotient_regularity()
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pathideal.cache import BettiCache
@@ -25,6 +25,7 @@ from pathideal.oracle import (
     _face_indicators,
     _facet_masks,
     _lcm_lattice_encoded,
+    _shift_closed,
     _unique,
     _vertex_degrees,
     betti_table,
@@ -606,6 +607,22 @@ def test_betti_unit_ideal(monkeypatch):
     assert calls == []
 
 
+def window(b: tuple[int, ...]) -> tuple[int, ...]:
+    """b up to its last nonzero position."""
+    return b[: max((j for j, e in enumerate(b, 1) if e), default=0)]
+
+
+def core(b: tuple[int, ...]) -> tuple[int, ...]:
+    """b with its leading and trailing zeros trimmed."""
+    return window(window(b)[::-1])[::-1]
+
+
+def translates(w: tuple[int, ...], ambient: int) -> set[tuple[int, ...]]:
+    """w placed at every offset at which it fits in ambient variables."""
+    pad = ambient - len(w)
+    return {(0,) * at + w + (0,) * (pad - at) for at in range(pad + 1)}
+
+
 def test_betti_computes_one_of_each_mirror_pair(monkeypatch):
     visited = []
     real = oracle_mod._koszul_batches
@@ -615,18 +632,26 @@ def test_betti_computes_one_of_each_mirror_pair(monkeypatch):
         return real(G, lat)
 
     monkeypatch.setattr(oracle_mod, "_koszul_batches", spy)
-    # Path powers are fixed by the reversal; the palindromic b are computed
-    # once and written once, with their own rank.
-    for n, t, s in [(5, 2, 2), (6, 3, 2), (4, 2, 1)]:
+    # Path powers are fixed by translation and by the reversal: only points
+    # with b_1 > 0 are computed, one of each mirror pair of windows b[:m],
+    # m the last nonzero position.  Palindromic windows are computed once
+    # and written once, with their own rank.
+    for n, t, s in [(5, 2, 2), (6, 3, 2), (4, 2, 1), (7, 3, 1)]:
         visited.clear()
         i = power(n, t, s)
         table = betti_table(i)
+        windows = [window(b) for b in visited]
         assert len(visited) == len(set(visited))
-        assert all(b <= b[::-1] for b in visited)
-        assert set(visited) | {b[::-1] for b in visited} == set(non_full_lattice(i))
+        assert all(b[0] > 0 and w <= w[::-1] for b, w in zip(visited, windows))
+        placed = {b for w in windows for c in (w, w[::-1]) for b in translates(c, n)}
+        assert placed == set(non_full_lattice(i))
+        # One point per class of translates and window mirrors, no more.
+        classes = {min(core(b), core(b)[::-1]) for b in non_full_lattice(i)}
+        assert len(visited) == len(classes) < len(placed)
         assert any(b == b[::-1] for (_, b) in table.entries)
         assert table.entries == betti_via_public_route(i, 2)
-    # A generator set that is not closed under reversal is walked in full.
+    # A generator set that is not closed under reversal or translation is
+    # walked in full.
     visited.clear()
     i = ideal(["x1*x2", "x2*x3^2"], 3)
     assert betti_table(i).entries == betti_via_public_route(i, 2)
@@ -797,3 +822,40 @@ def test_fast_table_matches_public_route_on_random_ideals(gens, p):
 def test_fast_table_matches_public_route_on_mirror_closed_ideals(gens, p):
     i = minimalize([Monomial(g) for g in gens + [g[::-1] for g in gens]])
     assert betti_table(i, FieldSpec(p)).entries == betti_via_public_route(i, p)
+
+
+seeds_in_ambient = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(
+        st.tuples(*[st.sampled_from((0, 0, 1, 2))] * n).filter(any),
+        min_size=1, max_size=3,
+    ),
+))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seeds_in_ambient, st.booleans(), st.integers(0, 2**16))
+def test_fast_table_matches_public_route_on_shift_closed_ideals(seeds, mirrored, pick):
+    # Every translate of each seed (and of its reversal, if mirrored),
+    # minimalized: closed under translation, rarely a path power.  Near
+    # misses take the general route: one end generator (g_1 = 0 or g_n = 0)
+    # dropped, the unit ideal, ambient 1.
+    ambient, rows = seeds
+    cores = {core(row) for row in rows} | {core(row[::-1]) for row in rows if mirrored}
+    i = minimalize(
+        [Monomial(b) for c in cores for b in translates(c, ambient)], ambient=ambient
+    )
+    assume(len(i.generators) <= 10)
+    gens = [g.exponents for g in i.generators]
+    assert _shift_closed(gens) == (ambient > 1)
+    ends = [g for g in gens if not g[0] or not g[-1]]
+    assert not any(_shift_closed([h for h in gens if h != g]) for g in ends)
+    assert not _shift_closed([(0,) * ambient])
+    near = [minimalize([Monomial((0,) * ambient)])]
+    if ends:
+        drop = ends[pick % len(ends)]
+        kept = tuple(g for g in i.generators if g.exponents != drop)
+        near.append(MonomialIdeal(ambient, kept))
+    for j in [i] + near:
+        for p in (2, 3):
+            assert betti_table(j, FieldSpec(p)).entries == betti_via_public_route(j, p)
