@@ -124,12 +124,18 @@ def _decode(raw: bytes, key: str) -> BettiTable:
 
 
 class BettiCache:
-    """Directory of cached Betti tables, one JSON file per key."""
+    """Directory of cached Betti tables, one JSON file per key.
+
+    evictions counts the corrupt or outdated entries lookup has removed.
+    Each is logged at DEBUG only: after a layout change every stored table
+    is evicted once, so a sweep reports their total in one line instead.
+    """
 
     def __init__(self, directory: str | os.PathLike | None = None):
         self.directory = resolve_cache_dir(directory)
         self.hits = 0
         self.misses = 0
+        self.evictions = 0
         self._write_failed = False
 
     def _path(self, key: str) -> Path:
@@ -145,11 +151,12 @@ class BettiCache:
         try:
             table = _decode(raw, key)
         except (ValueError, KeyError, TypeError) as exc:
-            log.warning("evicting cache entry %s (%s)", path, exc)
+            log.debug("evicting cache entry %s (%s)", path, exc)
             try:
                 path.unlink()
             except OSError:
                 pass
+            self.evictions += 1
             self.misses += 1
             return None
         self.hits += 1

@@ -14,6 +14,8 @@ Subcommands, and the flags each reads besides its cell (--n --t --power):
 
 verify --config FILE reads a JSON object whose keys are SweepConfig field
 names, the same object every report stores under "config"; flags override it.
+Every subcommand takes --log-level LEVEL (default WARNING): INFO shows the
+rows a sweep skipped, DEBUG each cache entry it evicted.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import os
 import sys
 from pathlib import Path
@@ -46,6 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", type=str.upper, default="WARNING",
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR"), metavar="LEVEL",
+                        help="show log lines from this level up: DEBUG, INFO, "
+                        "WARNING (default) or ERROR")
 
     def oracle_flags(p, char_default):
         p.add_argument("--char", type=int, default=char_default, metavar="P",
@@ -66,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("check", _cmd_check, "linear-quotient and quasi-linearity checks"),
         ("formula", _cmd_formula, "closed-form evaluators"),
     ):
-        p = cmd[name] = sub.add_parser(name, help=summary)
+        p = cmd[name] = sub.add_parser(name, help=summary, parents=[common])
         p.set_defaults(func=func)
         p.add_argument("--n", type=int, required=True, help="vertex count")
         p.add_argument("--t", type=int, required=True, help="path length")
@@ -81,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd["formula"].add_argument("which", choices=_FORMULAS, help="formula to evaluate")
     cmd["formula"].add_argument("--i", type=int, help="homological index")
 
-    p_verify = sub.add_parser("verify", help="run the verification sweep")
+    p_verify = sub.add_parser("verify", help="run the verification sweep",
+                              parents=[common])
     p_verify.set_defaults(func=_cmd_verify)
     # --char and --cache set chars and cache_dir; every other SweepConfig field
     # is an int and gets a flag of its own.
@@ -98,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--csv", metavar="PATH", help="write the CSV table here")
     json_flag(p_verify)
 
-    p_table = sub.add_parser("table", help="re-emit a stored report")
+    p_table = sub.add_parser("table", help="re-emit a stored report", parents=[common])
     p_table.set_defaults(func=_cmd_table)
     p_table.add_argument("--report", required=True, metavar="PATH")
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -340,6 +349,8 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8", line_buffering=True)
     args = build_parser().parse_args(argv)
+    logging.basicConfig(level=args.log_level,
+                        format="pathideal: %(levelname)s: %(message)s")
     try:
         return args.func(args)
     except (PathIdealError, ValueError) as exc:

@@ -67,9 +67,16 @@ _MAX_SUPPORT = 24
 # generator), a uint32 facet and 6 bytes of scratch; a batch of it adds a
 # uint32 copy and flat index, which numpy widens to intp as it scatters: 26
 # bytes in all, within the 8 * n of the budget once n >= 4.  A batch of face
-# indicators takes _CHUNK_BYTES >> (max(k, 3) + 2) rows of max(8, 2^k) bytes,
-# so that with the copy of its complexes that are not cones and the scratch
-# array of the same size that its closure and homology add, it stays within.
+# indicators holds at most _CHUNK_BYTES / 4 bytes, rows of max(8, 2^k) bytes
+# for its widest support size k, so that with the copy of its complexes that
+# are not cones and the scratch array of the same size that its closure and
+# homology add, it stays within.
+
+# Support sizes whose face indicators, padded to the widest of them, fit in
+# _MERGE_BYTES share one batch.  Every batch costs about 0.2 ms of numpy
+# calls whatever its size; below this floor the padding costs less than that,
+# above it a batch of one size is large enough to pay for itself.
+_MERGE_BYTES = 1 << 16
 
 
 def _is_prime(p: int) -> bool:
@@ -238,8 +245,9 @@ def _face_indicators(facets: np.ndarray, inside: np.ndarray, k: int) -> np.ndarr
 
     The complex of row r is the down-closure of the facets in facets[r],
     uint32 bitmasks over k vertices, or void when inside[r] is false.  Rows
-    are whole 64-bit words of faces; for k < 3 the vertices added lie in no
-    face.  The facets are marked through one flat index, then closed
+    are whole 64-bit words of faces; the vertices added for k < 3, and
+    those above a row's own support in a batch padded to a wider one, lie in
+    no face.  The facets are marked through one flat index, then closed
     downwards one vertex v at a time on the word view, 8 faces a word: for
     v < 3 the face sigma + v is in the word of sigma, 8 << v bits higher;
     for larger v it is 2^(v-3) words further on.  The flat index is uint32,
@@ -264,11 +272,42 @@ def _face_indicators(facets: np.ndarray, inside: np.ndarray, k: int) -> np.ndarr
     return ind
 
 
+def _batch_rows(ks: np.ndarray):
+    """Yield (rows, k): the indices of one batch and the widest support size in it.
+
+    ks holds the support size of each row.  Sizes are taken in ascending
+    order, and consecutive ones share a batch while its rows, each
+    max(8, 2^k) bytes at its widest k, fit in _MERGE_BYTES.  A size whose
+    rows alone do not fit is cut into batches of its own, of at most
+    _CHUNK_BYTES / 4 bytes each.
+    """
+    floor = min(_MERGE_BYTES, _CHUNK_BYTES >> 2)
+    held: list[np.ndarray] = []
+    count = top = 0
+    for k in _unique(ks).tolist():
+        rows = np.flatnonzero(ks == k)
+        width = max(8, 1 << k)
+        if held and (count + rows.size) * width > floor:
+            yield np.concatenate(held), top
+            held, count = [], 0
+        if rows.size * width <= floor:
+            held.append(rows)
+            count, top = count + rows.size, k
+            continue
+        per = max(1, (_CHUNK_BYTES >> 2) // width)
+        for at in range(0, rows.size, per):
+            yield rows[at : at + per], k
+    if held:
+        yield np.concatenate(held), top
+
+
 def _koszul_batches(G: np.ndarray, lat: np.ndarray):
     """Yield (b, ind): face indicators of K^b for b in the rows of lat.
 
-    The rows of a batch share one support size k, and a batch stays within
-    the byte budget.
+    A batch is padded to its widest support size k (_batch_rows).  The
+    vertices above a row's own support lie in no face, so they are never a
+    cone point, never matched and never critical, and the batch settles
+    each complex as one of its own size would.
     """
     # Exponents compare in the narrowest type that holds them.
     small = np.min_scalar_type(max(int(G.max(initial=0)), int(lat.max(initial=0))))
@@ -278,13 +317,8 @@ def _koszul_batches(G: np.ndarray, lat: np.ndarray):
     for lo in range(0, lat.shape[0], step):
         part = lat[lo : lo + step].astype(small)
         facets, inside = _facet_masks(G, part)
-        ks = np.count_nonzero(part, axis=1)
-        for k in _unique(ks).tolist():
-            rows = np.flatnonzero(ks == k)
-            per = max(1, _CHUNK_BYTES >> (max(k, 3) + 2))
-            for at in range(0, rows.size, per):
-                batch = rows[at : at + per]
-                yield part[batch], _face_indicators(facets[batch], inside[batch], k)
+        for batch, k in _batch_rows(np.count_nonzero(part, axis=1)):
+            yield part[batch], _face_indicators(facets[batch], inside[batch], k)
 
 
 def _faces_per_word(words: np.ndarray, mask: np.uint64, out: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from functools import partial
 from typing import Any, Callable, Iterator
 
 from ._version import __version__
-from .cache import BettiCache, cached_betti_table
+from .cache import BettiCache, cached_betti_table, resolve_cache_dir
 from .errors import ColonFormMismatchError, PathIdealError, SizeCapExceededError
 from .formulas import (
     linear_resolution_predicate,
@@ -441,9 +441,11 @@ def _row(state: _CellState, q: _Quantity) -> Row:
     return Row(n, t, s, q.name, q.formula, oracle, status, ms, repro=repro)
 
 
-def _cell_rows(cfg: SweepConfig, cell: tuple[int, int, int]) -> list[Row]:
-    state = _CellState(cfg, *cell, BettiCache(cfg.cache_dir))
-    return [_row(state, q) for q in _quantities(cfg, *cell)]
+def _cell_rows(cfg: SweepConfig, cell: tuple[int, int, int]) -> tuple[list[Row], int]:
+    """The rows of one cell, and the number of cache entries it evicted."""
+    cache = BettiCache(cfg.cache_dir)
+    state = _CellState(cfg, *cell, cache)
+    return [_row(state, q) for q in _quantities(cfg, *cell)], cache.evictions
 
 
 def run_sweep(cfg: SweepConfig) -> VerificationReport:
@@ -454,8 +456,12 @@ def run_sweep(cfg: SweepConfig) -> VerificationReport:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             parts = list(pool.map(cell_rows, cells))
     else:
-        parts = map(cell_rows, cells)
-    rows = sorted((row for part in parts for row in part),
+        parts = list(map(cell_rows, cells))
+    evicted = sum(count for _, count in parts)
+    if evicted:
+        log.warning("evicted %d corrupt or outdated cache entries from %s",
+                    evicted, resolve_cache_dir(cfg.cache_dir))
+    rows = sorted((row for part, _ in parts for row in part),
                   key=lambda r: (r.n, r.t, r.s, r.quantity))
     summary = {status: sum(r.status == status for r in rows)
                for status in ("pass", "fail", "skipped", "info")}

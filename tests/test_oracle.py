@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from pathideal.cache import BettiCache
 from pathideal.errors import SizeCapExceededError
 import pathideal.oracle as oracle_mod
+import pathideal.verify as verify_mod
 from pathideal.monomials import Monomial, MonomialIdeal, minimalize
 from pathideal.oracle import (
     GF2,
@@ -33,7 +34,8 @@ from pathideal.oracle import (
     gfp_rank,
     lcm_lattice,
 )
-from pathideal.path_ideals import PathIdealSpec, path_ideal
+from pathideal.path_ideals import PathIdealSpec, line_graph_generators, path_ideal
+from pathideal.verify import SweepConfig, run_sweep
 from support import (
     betti_via_public_route,
     from_faces,
@@ -377,6 +379,144 @@ def test_batch_homology_of_cones_and_of_no_rows(monkeypatch):
         assert list(_batch_homology(indicators([], k), 3)) == []
     assert _critical_counts(np.zeros((0, 16), dtype=bool)).shape == (0, 5)
     assert calls == []
+
+
+# ---------------------------------------------------------------- merged batches
+
+
+def test_batch_rows_merge_small_sizes_and_cut_large_ones(monkeypatch):
+    monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1 << 12)  # 1,024 B a batch
+    monkeypatch.setattr(oracle_mod, "_MERGE_BYTES", 1 << 9)
+    sizes = {0: 5, 3: 10, 5: 12, 6: 3, 7: 20, 9: 1}
+    ks = np.array([k for k, count in sizes.items() for _ in range(count)])
+    np.random.default_rng(4).shuffle(ks)
+    got = [(sorted(ks[rows].tolist()), k) for rows, k in oracle_mod._batch_rows(ks)]
+    assert got == [
+        ([0] * 5 + [3] * 10, 3),  # 15 rows of 8 B
+        ([5] * 12, 5),  # 384 B: with the 3 rows of size 6, 960 B > 512 B
+        ([6] * 3, 6),
+        ([7] * 8, 7),  # 20 rows of 128 B do not fit: 8 to a batch
+        ([7] * 8, 7),
+        ([7] * 4, 7),
+        ([9], 9),  # 512 B fit, alone
+    ]
+    monkeypatch.setattr(oracle_mod, "_MERGE_BYTES", 0)
+    assert [k for _, k in oracle_mod._batch_rows(ks)] == [0, 3, 5, 6, 7, 7, 7, 9]
+    assert list(oracle_mod._batch_rows(ks[:0])) == []
+
+
+def face_indicator_spy(monkeypatch) -> list:
+    """Record (facets, inside, k) of every _face_indicators call."""
+    calls = []
+
+    def spy(facets, inside, k):
+        calls.append((facets, inside, k))
+        return _face_indicators(facets, inside, k)
+
+    monkeypatch.setattr(oracle_mod, "_face_indicators", spy)
+    return calls
+
+
+@pytest.mark.parametrize("floor", ["default", 0, "chunk"])
+def test_koszul_batches_pad_rows_without_adding_faces(monkeypatch, floor):
+    if floor != "default":
+        merge = oracle_mod._CHUNK_BYTES if floor == "chunk" else floor
+        monkeypatch.setattr(oracle_mod, "_MERGE_BYTES", merge)
+    calls = face_indicator_spy(monkeypatch)
+    # Support sizes 2..9, 8 to 423 points each.  The default floor merges
+    # sizes 2..6 into 44 KiB; size 7 (54 KiB) fits alone, and 8 and 9 (over
+    # 64 KiB each) take batches of their own.
+    i = power(9, 2, 2)
+    G = np.array([g.exponents for g in i.generators], dtype=np.int64)
+    lat = _lcm_lattice_encoded(G, 10**6, prune=True)
+    batches = list(oracle_mod._koszul_batches(G, lat))
+    assert len(batches) == len(calls)
+    # Every row is batched exactly once.
+    rows = np.concatenate([part for part, _ in batches])
+    assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, lat.tolist()))
+    mixed = 0
+    for (part, ind), (facets, inside, k) in zip(batches, calls):
+        sizes = np.count_nonzero(part, axis=1)
+        width = max(8, 1 << k)
+        assert int(sizes.max()) == k and ind.shape == (len(part), width)
+        # Within the per-k row budget of its widest k ...
+        assert len(part) <= max(1, (oracle_mod._CHUNK_BYTES >> 2) // width)
+        # ... and mixing sizes only below the floor.
+        if sizes.min() < k:
+            mixed += 1
+            assert len(part) * width <= oracle_mod._MERGE_BYTES
+        for r, size in enumerate(sizes.tolist()):
+            # No face outside the row's own support, the same faces within it.
+            assert not ind[r, 1 << size :].any()
+            alone = _face_indicators(facets[r : r + 1], inside[r : r + 1], size)[0]
+            assert ind[r, : 1 << size].tolist() == alone[: 1 << size].tolist()
+    assert len(batches) == {"default": 4, 0: 8, "chunk": 1}[floor]
+    assert mixed == (floor != 0)
+
+
+FLOORS = (0, oracle_mod._MERGE_BYTES, oracle_mod._CHUNK_BYTES)
+
+
+def tables_by_floor(i: MonomialIdeal, p: int) -> list[dict]:
+    """betti_table(i) over GF(p) with _MERGE_BYTES at each of FLOORS."""
+    with pytest.MonkeyPatch.context() as patch:
+        tables = []
+        for floor in FLOORS:
+            patch.setattr(oracle_mod, "_MERGE_BYTES", floor)
+            tables.append(betti_table(i, FieldSpec(p)).to_dict())
+    return tables
+
+
+def test_tables_do_not_depend_on_the_merge_floor():
+    # Path powers take the translation and mirror route; I^s + (u_j, ...)
+    # is closed under neither and takes the general one.
+    ideals = [power(n, t, s) for n, t, s in [(8, 2, 3), (9, 3, 2), (10, 2, 2), (7, 4, 1)]]
+    for n, t, s in [(7, 2, 2), (8, 3, 2)]:
+        lines = [u.exponents for u in line_graph_generators(PathIdealSpec(n, t))]
+        for j in range(2, n - t + 2):
+            gens = [g.exponents for g in power(n, t, s).generators] + lines[j - 1 :]
+            i = minimalize([Monomial(g) for g in gens], ambient=n)
+            assert not _shift_closed([g.exponents for g in i.generators])
+            ideals.append(i)
+    for i in ideals:
+        for p in (2, 3):
+            first, *rest = tables_by_floor(i, p)
+            assert rest == [first] * len(rest)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.tuples(*([st.integers(0, 2)] * 6)).map(Monomial), min_size=1, max_size=6),
+    st.sampled_from([2, 3]),
+)
+def test_random_tables_do_not_depend_on_the_merge_floor(gens, p):
+    first, *rest = tables_by_floor(minimalize(gens, ambient=6), p)
+    assert rest == [first] * len(rest)
+
+
+def test_default_grid_settles_in_141_batches(tmp_path, monkeypatch):
+    # Pins the merge of small support sizes: with one batch per support
+    # size, as _MERGE_BYTES = 0 gives, the grid's 121 tables took 566.
+    ideals, batches = [], []
+    real_table, real_homology = verify_mod.cached_betti_table, oracle_mod._batch_homology
+
+    def table_spy(i, *args):
+        ideals.append(i)
+        return real_table(i, *args)
+
+    def homology_spy(ind, p):
+        batches.append(len(ind))
+        return real_homology(ind, p)
+
+    monkeypatch.setattr(verify_mod, "cached_betti_table", table_spy)
+    monkeypatch.setattr(oracle_mod, "_batch_homology", homology_spy)
+    run_sweep(SweepConfig(cache_dir=str(tmp_path / "cache")))
+    assert (len(ideals), len(batches)) == (121, 141)
+    batches.clear()
+    monkeypatch.setattr(oracle_mod, "_MERGE_BYTES", 0)
+    for i in ideals:
+        betti_table(i)
+    assert len(batches) == 566
 
 
 # ---------------------------------------------------------------- lcm lattice

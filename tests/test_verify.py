@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import logging
 import os
 import shlex
 import subprocess
@@ -445,6 +446,41 @@ def test_cache_evicts_unsound_entries(tmp_path):
         assert entry.read_bytes() == sound, case
 
 
+def test_sweep_reports_cache_evictions_in_one_line(tmp_path, caplog):
+    # Two cells, four tables: (4,2,1) reads I; (4,2,2) reads I^2 and I^2 + (u_j, ...)
+    # for j = 2, 3.  Every entry corrupt, as after a change of layout.
+    cfg = tiny_config(tmp_path / "cache", n_min=4, s_max=2, jobs=1)
+    assert sweep_cells(cfg) == [(4, 2, 1), (4, 2, 2)]
+    cold = run_sweep(cfg)
+    entries = sorted((tmp_path / "cache").glob("*.json"))
+    assert len(entries) == 4
+
+    def answers(report):
+        rows = [r.to_dict(include_ms=False) for r in report.rows]
+        return rows, report.summary, report.canonical_json()
+
+    for jobs in (1, 2):  # the pool hands each cell's count back
+        for entry in entries:
+            entry.write_text("{not json", encoding="utf-8")
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="pathideal"):
+            again = run_sweep(dataclasses.replace(cfg, jobs=jobs))
+        loud = [r for r in caplog.records if r.levelno > logging.DEBUG]
+        assert [(r.name, r.levelname, r.getMessage()) for r in loud] == [(
+            "pathideal.verify", "WARNING",
+            f"evicted 4 corrupt or outdated cache entries from {tmp_path / 'cache'}",
+        )]
+        # each eviction is logged at DEBUG, in the process that made it
+        quiet = [r for r in caplog.records if r.name == "pathideal.cache"]
+        assert [r.levelname for r in quiet] == ["DEBUG"] * (4 if jobs == 1 else 0)
+        assert answers(again) == answers(cold)
+    # the entries were stored again, so a warm sweep evicts nothing
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="pathideal"):
+        assert answers(run_sweep(cfg)) == answers(cold)
+    assert caplog.records == []
+
+
 def test_cache_survives_unwritable_directory(tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("file, not a directory", encoding="utf-8")
@@ -614,6 +650,34 @@ def test_cli_reg_rejects_zero_ideal(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "pathideal:" in err
+
+
+@pytest.fixture
+def bare_root_logger():
+    """The root logger without handlers, as main finds it in a fresh interpreter."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    yield root
+    root.handlers[:] = handlers
+    root.setLevel(level)
+
+
+def test_cli_log_level_shows_skipped_rows(tmp_path, capsys, bare_root_logger):
+    # A power cap of 3 skips every row of (4,2,2), whose I^2 has 6 generators.
+    argv = ["verify", "--t-max", "2", "--n-min", "4", "--n-max", "4", "--s-max", "2",
+            "--power-cap", "3", "--cache", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    bare_root_logger.handlers.clear()
+    assert main(argv + ["--log-level", "info"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 10
+    assert all(line.startswith("pathideal: INFO: cell (4,2,2) ") for line in err)
+    assert ("pathideal: INFO: cell (4,2,2) reg skipped: "
+            "I^2 needs 6 products of 3 generators, cap 3") in err
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["table", "--report", "r.json", "--log-level", "loud"])
 
 
 def test_cli_rejects_oversized_characteristic(capsys):
