@@ -167,25 +167,31 @@ class BettiCache:
             return
         payload = _sealed(_encode(key, table))
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=".json"
-            )
             try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(payload)
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                self._write(key, payload)
+            except FileNotFoundError:
+                # the directory is made on the first store, or again if removed
+                self.directory.mkdir(parents=True, exist_ok=True)
+                self._write(key, payload)
         except OSError as exc:
             # Warn once, then keep computing without the cache.
             self._write_failed = True
             log.warning("cache directory %s not writable (%s); continuing "
                         "without cache", self.directory, exc)
+
+    def _write(self, key: str, payload: bytes) -> None:
+        """Write an entry atomically: a temp file, then a rename over the key."""
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-", suffix=".json")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def cached_betti_table(

@@ -11,14 +11,17 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ColonFormMismatchError
 from .monomials import (
+    _CHUNK_BYTES,
     Monomial,
     MonomialIdeal,
-    colon_by_monomial,
-    minimalize,
+    _colon_of_rows,
+    _exponent_matrix,
+    _ideal_of_rows,
     mono_pow,
-    mono_quotient,
 )
 from .path_ideals import (
     Composition,
@@ -106,6 +109,34 @@ def closed_form_colon(comp: Composition) -> frozenset[int]:
     )
 
 
+def _colon_steps(E: np.ndarray, rows: np.ndarray, start: int = 0):
+    """Which colons of rows of E by one row are generated by variables.
+
+    Step u, for each row u from start on, colons the rows marked in rows[u]
+    by row u: its quotient rows are max(E[i] - E[u], 0).  The colon is
+    generated by variables iff every quotient row has a positive entry at a
+    variable that some degree-1 quotient row holds.  Such a covered row is
+    divisible by that variable, and an uncovered row can only be divided
+    by another uncovered row, so the colon's minimal generators of degree
+    other than 1 are the minimal uncovered rows; no step is minimalized.
+    Steps are stacked a chunk at a time within _CHUNK_BYTES.  Yields u, the
+    variables held by degree-1 rows (a list of bools, one per variable) and
+    the uncovered quotient rows, or None when there are none.
+    """
+    q, n = E.shape
+    step = max(1, _CHUNK_BYTES // (8 * q * max(n, 1)))
+    for lo in range(start, q, step):
+        Q = np.maximum(E[None, :, :] - E[lo : lo + step, None, :], 0)
+        mask = rows[lo : lo + step]
+        positive = Q > 0
+        linear = mask & (Q.sum(axis=2) == 1)
+        variables = (positive & linear[:, :, None]).any(axis=1)
+        uncovered = mask & ~(positive & variables[:, None, :]).any(axis=2)
+        failed = uncovered.any(axis=1).tolist()
+        for b, held in enumerate(variables.tolist()):
+            yield lo + b, held, Q[b][uncovered[b]] if failed[b] else None
+
+
 def linear_quotients_check(
     spec: PathIdealSpec,
     s: int,
@@ -119,7 +150,15 @@ def linear_quotients_check(
     the brute-force variable set must also match closed_form_colon, and a
     mismatch raises ColonFormMismatchError.
     """
-    pairs = power_generators(spec, s)
+    return _quotients_of_pairs(spec, power_generators(spec, s), order)
+
+
+def _quotients_of_pairs(
+    spec: PathIdealSpec,
+    pairs: list[tuple[Composition, Monomial]],
+    order: list[Composition] | None = None,
+) -> QuotientCertificate | QuotientFailure:
+    """linear_quotients_check on the power generators pairs, built by the caller."""
     by_parts = {c.parts: m for c, m in pairs}
     if order is None:
         ordered = [c for c, _ in pairs]
@@ -128,16 +167,16 @@ def linear_quotients_check(
         if sorted(c.parts for c in ordered) != sorted(by_parts):
             raise ValueError("order is not a permutation of the power generators")
     check_closed_form = spec.t <= spec.n <= 2 * spec.t
-    monos = [by_parts[c.parts] for c in ordered]
+    E = _exponent_matrix((by_parts[c.parts] for c in ordered), spec.n)
+    earlier = np.tri(len(ordered), k=-1, dtype=bool)  # step m colons rows i < m
     colon_vars: list[frozenset[int]] = []
     counts: list[int] = []
-    for m in range(1, len(ordered)):
-        quotients = (mono_quotient(monos[i], monos[m]) for i in range(m))
-        colon = minimalize(quotients, ambient=spec.n)
-        for g in colon.generators:
-            if g.degree != 1:
-                return QuotientFailure(m + 1, ordered[m], g)
-        found = frozenset(next(iter(g.support())) for g in colon.generators)
+    for m, held, uncovered in _colon_steps(E, earlier, start=1):
+        if uncovered is not None:
+            # the colon's first minimal generator of degree other than 1
+            offender = _ideal_of_rows(uncovered, spec.n).generators[0]
+            return QuotientFailure(m + 1, ordered[m], offender)
+        found = frozenset(j + 1 for j, h in enumerate(held) if h)
         if check_closed_form:
             predicted = closed_form_colon(ordered[m])
             if found != predicted:
@@ -160,16 +199,14 @@ def quasi_linear_check(ideal: MonomialIdeal) -> QuasiLinearResult:
     degs = set(ideal.generator_degrees())
     if len(degs) > 1:
         raise ValueError(f"mixed generator degrees {sorted(degs)}")
-    if len(ideal.generators) < 2:
+    q = len(ideal.generators)
+    if q < 2:
         return QuasiLinearResult(True, None)
-    for u in ideal.generators:
-        rest = minimalize(
-            (g for g in ideal.generators if g != u), ambient=ideal.ambient
-        )
-        colon = colon_by_monomial(rest, u)
-        for g in colon.generators:
-            if g.degree != 1:
-                return QuasiLinearResult(False, (u, g))
+    E = _exponent_matrix(ideal.generators, ideal.ambient)
+    for u, _, uncovered in _colon_steps(E, ~np.eye(q, dtype=bool)):
+        if uncovered is not None:
+            offender = _ideal_of_rows(uncovered, ideal.ambient).generators[0]
+            return QuasiLinearResult(False, (ideal.generators[u], offender))
     return QuasiLinearResult(True, None)
 
 
@@ -185,14 +222,19 @@ def quasi_linear_witness(spec: PathIdealSpec, s: int) -> QuasiLinearBreak:
         raise ValueError(f"need n >= 2t+1, got n={spec.n}, t={spec.t}")
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
+    return _witness_of_pairs(spec, s, power_generators(spec, s))
+
+
+def _witness_of_pairs(
+    spec: PathIdealSpec, s: int, pairs: list[tuple[Composition, Monomial]]
+) -> QuasiLinearBreak:
+    """quasi_linear_witness on the power generators pairs, built by the caller."""
     gens = line_graph_generators(spec)
     alpha = mono_pow(gens[-1], s)
-    rest = [
-        m
-        for c, m in power_generators(spec, s)
-        if m.exponents != alpha.exponents
-    ]
-    colon = colon_by_monomial(minimalize(rest, ambient=spec.n), alpha)
+    rest = _exponent_matrix(
+        (m for _, m in pairs if m.exponents != alpha.exponents), spec.n
+    )
+    colon = _colon_of_rows(rest, alpha)
     degree_one = [g for g in colon.generators if g.degree == 1]
     var = spec.n - spec.t
     unique = len(degree_one) == 1 and degree_one[0].support() == frozenset({var})

@@ -58,9 +58,9 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        if any(e < 0 for e in self.exponents):
+        if min(self.exponents, default=0) < 0:
             raise ValueError(f"negative exponent in {self.exponents!r}")
-        if any(e > EXPONENT_CAP for e in self.exponents):
+        if max(self.exponents, default=0) > EXPONENT_CAP:
             raise ExponentOverflowError(
                 f"exponent above cap {EXPONENT_CAP} in {self.exponents!r}"
             )
@@ -282,15 +282,35 @@ def _minimal_rows(exps: list[tuple[int, ...]]) -> list[bool]:
     return minimal.tolist()
 
 
+def _exponent_matrix(gens: Iterable[Monomial], ambient: int) -> np.ndarray:
+    """The exponent vectors of gens as the rows of an int64 matrix."""
+    rows = [g.exponents for g in gens]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), ambient)
+
+
+def _ideal_of_rows(rows: np.ndarray, ambient: int) -> MonomialIdeal:
+    """The ideal generated by the rows of an exponent matrix, minimalized.
+
+    Monomials are built only for the minimal rows.
+    """
+    ordered = sorted(set(map(tuple, rows.tolist())))
+    kept = [Monomial(e) for e, keep in zip(ordered, _minimal_rows(ordered)) if keep]
+    return MonomialIdeal(ambient, tuple(kept), validate=False)
+
+
+def _colon_of_rows(rows: np.ndarray, m: Monomial) -> MonomialIdeal:
+    """The colon by m of the ideal generated by the rows of an exponent matrix."""
+    quotients = np.maximum(rows - np.array(m.exponents, dtype=np.int64), 0)
+    return _ideal_of_rows(quotients, m.ambient)
+
+
 def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """The colon ideal I : m, minimalized."""
     if m.ambient != ideal.ambient:
         raise AmbientMismatchError(
             f"ambient mismatch: {m.ambient} vs {ideal.ambient}"
         )
-    return minimalize(
-        (mono_quotient(g, m) for g in ideal.generators), ambient=ideal.ambient
-    )
+    return _colon_of_rows(_exponent_matrix(ideal.generators, ideal.ambient), m)
 
 
 def ideal_power(
@@ -299,7 +319,8 @@ def ideal_power(
     """The power I^s via all s-fold generator products, minimalized.
 
     Aborts with SizeCapExceededError when the product count would exceed
-    max_products; never truncates silently.
+    max_products; never truncates silently.  The products are summed as
+    exponent rows, a chunk of index tuples at a time within _CHUNK_BYTES.
     """
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
@@ -312,10 +333,21 @@ def ideal_power(
             f"I^{s} needs {count} products of {q} generators, cap {max_products}",
             count=count,
         )
+    E = _exponent_matrix(ideal.generators, ideal.ambient)
+    degrees = E.sum(axis=1)
+    combos = itertools.combinations_with_replacement(range(q), s)
+    step = max(1, _CHUNK_BYTES // (8 * s * max(ideal.ambient, 1)))
     products = []
-    for combo in itertools.combinations_with_replacement(ideal.generators, s):
-        acc = combo[0]
-        for g in combo[1:]:
-            acc = mono_mul(acc, g)
-        products.append(acc)
-    return minimalize(products, ambient=ideal.ambient)
+    while True:
+        flat = itertools.chain.from_iterable(itertools.islice(combos, step))
+        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, s)
+        if not idx.size:
+            break
+        over = np.flatnonzero(degrees[idx].sum(axis=1) > EXPONENT_CAP)
+        if s > 1 and over.size:
+            # name the first partial product over the cap, as mono_mul would
+            partial = list(itertools.accumulate(degrees[idx[over[0]]].tolist()))
+            first = next(d for d in partial[1:] if d > EXPONENT_CAP)
+            raise ExponentOverflowError(f"degree {first} above cap {EXPONENT_CAP}")
+        products.append(E[idx].sum(axis=1))
+    return _ideal_of_rows(np.concatenate(products), ideal.ambient)

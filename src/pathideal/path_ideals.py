@@ -56,7 +56,7 @@ class Composition:
     def __post_init__(self):
         if not self.parts:
             raise ValueError("composition needs at least one part")
-        if any(p < 0 for p in self.parts):
+        if min(self.parts) < 0:
             raise ValueError(f"negative part in {self.parts!r}")
 
     @property
@@ -107,16 +107,19 @@ def compositions_desc(total: int, k: int) -> Iterator[Composition]:
     if total < 0 or k < 1:
         raise ValueError(f"bad composition shape total={total}, k={k}")
 
-    def rec(rem: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (rem,)
+    parts = [total] + [0] * (k - 1)
+    while True:
+        yield Composition(tuple(parts))
+        # the successor: the last nonzero part but the final one gives one
+        # unit to its right neighbour, which also takes the final part
+        i = k - 2
+        while i >= 0 and not parts[i]:
+            i -= 1
+        if i < 0:
             return
-        for first in range(rem, -1, -1):
-            for rest in rec(rem - first, slots - 1):
-                yield (first,) + rest
-
-    for parts in rec(total, k):
-        yield Composition(parts)
+        last, parts[-1] = parts[-1], 0
+        parts[i] -= 1
+        parts[i + 1] = last + 1
 
 
 def composition_count(total: int, k: int) -> int:

@@ -32,9 +32,9 @@ from .formulas import (
 )
 from .linearity import (
     QuotientCertificate,
-    linear_quotients_check,
+    _quotients_of_pairs,
+    _witness_of_pairs,
     quasi_linear_check,
-    quasi_linear_witness,
 )
 from .monomials import (
     MonomialIdeal,
@@ -257,9 +257,9 @@ class _CellState:
         return self._get("lines", lambda: line_graph_generators(self.spec))
 
     def quotients(self):
-        self.pairs()  # the cell's power cap skips these rows like the others
+        # from the cell's capped pairs, so the power cap skips these rows too
         return self._get(
-            "quotients", lambda: linear_quotients_check(self.spec, self.s)
+            "quotients", lambda: _quotients_of_pairs(self.spec, self.pairs())
         )
 
     def table(self, p: int, ideal: MonomialIdeal | None = None) -> BettiTable:
@@ -310,7 +310,8 @@ def _betti(p: int, state: _CellState) -> Any:
     stray = [(i, sum(b)) for (i, b) in table.entries if sum(b) != i + d]
     if stray:
         return f"entries off the linear strand: {sorted(stray)}"
-    return [table.total(i) for i in range(table.max_index() + 1)]
+    totals = table.totals()
+    return [totals.get(i, 0) for i in range(table.max_index() + 1)]
 
 
 def _linear_quotients(state: _CellState) -> Any:
@@ -336,8 +337,7 @@ def _quasi_linear(state: _CellState) -> bool:
 
 
 def _witness(state: _CellState) -> str:
-    state.pairs()  # the cell's power cap skips this row like the others
-    w = quasi_linear_witness(state.spec, state.s)
+    w = _witness_of_pairs(state.spec, state.s, state.pairs())
     if not w.valid:
         return "witness facts violated"
     if any(g.degree != 1 for g in w.colon_generators):

@@ -1,4 +1,8 @@
-"""Shared test helpers: monomial shorthands and a reference Betti route.
+"""Shared test helpers: monomial shorthands and reference routes.
+
+The object routes are the library's colon, power and linearity algorithms
+as loops over Monomial objects, one colon step and one product at a time,
+against which the exponent-matrix routes of the package are checked.
 
 The reference route computes Betti numbers from the definitions,
 independently of the oracle's kernel: the lcm lattice from all nonempty
@@ -10,12 +14,27 @@ gfp_rank.  It is meant for ideals with at most about 10 generators.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from pathideal.monomials import Monomial, MonomialIdeal, minimalize, parse_monomial
+from pathideal.errors import ColonFormMismatchError, SizeCapExceededError
+from pathideal.linearity import (
+    QuasiLinearResult,
+    QuotientCertificate,
+    QuotientFailure,
+    closed_form_colon,
+)
+from pathideal.monomials import (
+    Monomial,
+    MonomialIdeal,
+    minimalize,
+    mono_mul,
+    mono_quotient,
+    parse_monomial,
+)
 from pathideal.oracle import gfp_rank
-from pathideal.path_ideals import PathIdealSpec, power_generators
+from pathideal.path_ideals import Composition, PathIdealSpec, power_generators
 
 Face = tuple[int, ...]
 
@@ -31,6 +50,76 @@ def ideal(texts: list[str], ambient: int) -> MonomialIdeal:
 def power(n: int, t: int, s: int) -> MonomialIdeal:
     gens = [mono for _, mono in power_generators(PathIdealSpec(n, t), s)]
     return minimalize(gens, ambient=n)
+
+
+def colon_by_objects(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
+    """I : m, minimalized from the quotients g / gcd(g, m)."""
+    return minimalize(
+        (mono_quotient(g, m) for g in ideal.generators), ambient=ideal.ambient
+    )
+
+
+def power_by_objects(ideal: MonomialIdeal, s: int, max_products: int) -> MonomialIdeal:
+    """I^s from every s-fold product, multiplied left to right."""
+    if ideal.is_zero():
+        return ideal
+    q = len(ideal.generators)
+    count = math.comb(q + s - 1, s)
+    if count > max_products:
+        raise SizeCapExceededError(
+            f"I^{s} needs {count} products of {q} generators, cap {max_products}",
+            count=count,
+        )
+    products = []
+    for combo in itertools.combinations_with_replacement(ideal.generators, s):
+        acc = combo[0]
+        for g in combo[1:]:
+            acc = mono_mul(acc, g)
+        products.append(acc)
+    return minimalize(products, ambient=ideal.ambient)
+
+
+def linear_quotients_by_objects(
+    spec: PathIdealSpec, s: int, order: list[Composition] | None = None
+) -> QuotientCertificate | QuotientFailure:
+    """The prefix-colon test, each colon minimalized from its quotients."""
+    pairs = power_generators(spec, s)
+    by_parts = {c.parts: g for c, g in pairs}
+    ordered = [c for c, _ in pairs] if order is None else list(order)
+    check_closed_form = spec.t <= spec.n <= 2 * spec.t
+    monos = [by_parts[c.parts] for c in ordered]
+    colon_vars, counts = [], []
+    for k in range(1, len(ordered)):
+        quotients = (mono_quotient(monos[i], monos[k]) for i in range(k))
+        colon = minimalize(quotients, ambient=spec.n)
+        for g in colon.generators:
+            if g.degree != 1:
+                return QuotientFailure(k + 1, ordered[k], g)
+        found = frozenset(next(iter(g.support())) for g in colon.generators)
+        if check_closed_form:
+            predicted = closed_form_colon(ordered[k])
+            if found != predicted:
+                raise ColonFormMismatchError(
+                    f"colon at position {k + 1} gave {sorted(found)}, "
+                    f"closed form predicts {sorted(predicted)}"
+                )
+        colon_vars.append(found)
+        counts.append(len(found))
+    return QuotientCertificate(tuple(ordered), tuple(colon_vars), tuple(counts))
+
+
+def quasi_linear_by_objects(ideal: MonomialIdeal) -> QuasiLinearResult:
+    """(G(I) \\ {u}) : u for every u in stored order, each minimalized."""
+    if len(ideal.generators) < 2:
+        return QuasiLinearResult(True, None)
+    for u in ideal.generators:
+        rest = minimalize(
+            (g for g in ideal.generators if g != u), ambient=ideal.ambient
+        )
+        for g in colon_by_objects(rest, u).generators:
+            if g.degree != 1:
+                return QuasiLinearResult(False, (u, g))
+    return QuasiLinearResult(True, None)
 
 
 def from_faces(faces) -> set[Face]:

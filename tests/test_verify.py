@@ -176,10 +176,10 @@ def test_augmented_rows_can_fail_beyond_overlap(tmp_path):
 
 
 def test_broken_cell_gives_fail_row(tmp_path, monkeypatch):
-    def broken(spec, s):
+    def broken(spec, pairs):
         raise ColonFormMismatchError("colon 2 disagrees with its closed form")
 
-    monkeypatch.setattr(verify_mod, "linear_quotients_check", broken)
+    monkeypatch.setattr(verify_mod, "_quotients_of_pairs", broken)
     cfg = tiny_config(tmp_path / "cache", n_min=3, n_max=3, s_max=1, jobs=1)
     report = run_sweep(cfg)
     census = [r for r in report.rows if r.quantity == "s_k_census"]
@@ -195,10 +195,11 @@ def test_broken_cell_gives_fail_row(tmp_path, monkeypatch):
 
 
 def test_linear_quotients_check_runs_once_per_cell(tmp_path, monkeypatch):
-    calls, real = [], verify_mod.linear_quotients_check
+    calls, real = [], verify_mod._quotients_of_pairs
     monkeypatch.setattr(
-        verify_mod, "linear_quotients_check",
-        lambda spec, s: calls.append((spec.n, spec.t, s)) or real(spec, s),
+        verify_mod, "_quotients_of_pairs",
+        lambda spec, pairs: calls.append((spec.n, spec.t, pairs[0][0].total))
+        or real(spec, pairs),
     )
     cfg = tiny_config(tmp_path / "cache", jobs=1)
     assert run_sweep(cfg).summary["fail"] == 0
@@ -214,6 +215,32 @@ def test_default_sweep_matches_the_benchmark_golden(tmp_path):
                       sort_keys=True, separators=(",", ":"))
     assert report.summary == want["summary"]
     assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == want["digest"]
+
+
+def test_warm_default_sweep_builds_each_cells_power_generators_once(tmp_path, monkeypatch):
+    cfg = SweepConfig(cache_dir=str(tmp_path / "cache"))
+    run_sweep(cfg)  # fills the cache
+    calls = Counter()
+    modules = [mod for name, mod in sorted(sys.modules.items())
+               if name == "pathideal" or name.startswith("pathideal.")]
+    for owner, name in [("pathideal.path_ideals", "power_generators"),
+                        ("pathideal.monomials", "mono_quotient"),
+                        ("pathideal.monomials", "minimalize")]:
+        original = getattr(sys.modules[owner], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for bound, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, bound, counted)
+    report = run_sweep(cfg)
+    assert report.summary["fail"] == 0
+    assert calls["power_generators"] == len(sweep_cells(cfg)) == 57
+    assert calls["mono_quotient"] == 0
+    assert calls["minimalize"] < 520
 
 
 def test_sweep_repros_rerun_their_rows(tmp_path, monkeypatch):
@@ -479,6 +506,31 @@ def test_sweep_reports_cache_evictions_in_one_line(tmp_path, caplog):
     with caplog.at_level(logging.DEBUG, logger="pathideal"):
         assert answers(run_sweep(cfg)) == answers(cold)
     assert caplog.records == []
+
+
+def test_cache_makes_its_directory_only_when_it_is_missing(tmp_path, monkeypatch, caplog):
+    made, real_mkdir = [], Path.mkdir
+
+    def spy(self, *args, **kwargs):
+        made.append(self)
+        return real_mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", spy)
+    table = BettiTable(3, 2, {(0, (1, 1, 0)): 1})
+    directory = tmp_path / "cache"
+    cache = BettiCache(directory)
+    for key in ("k0", "k1", "k2"):
+        cache.store(key, table)
+    assert made == [directory]  # the first store made it, the others did not
+    for child in directory.iterdir():
+        child.unlink()
+    directory.rmdir()  # removed between two stores: made again, then retried
+    cache.store("k3", table)
+    assert made == [directory, directory]
+    assert cache.lookup("k3") == table and cache.lookup("k2") is None
+    BettiCache(directory).store("k4", table)  # a new cache on a made directory
+    assert made == [directory, directory]
+    assert caplog.records == [] and not cache._write_failed
 
 
 def test_cache_survives_unwritable_directory(tmp_path):
