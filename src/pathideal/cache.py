@@ -196,13 +196,11 @@ class BettiCache:
 
 def cached_betti_table(
     ideal: MonomialIdeal,
-    fieldspec: FieldSpec = FieldSpec(2),
-    cache: BettiCache | None = None,
+    fieldspec: FieldSpec,
+    cache: BettiCache,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> BettiTable:
-    """betti_table with an optional read-through disk cache."""
-    if cache is None:
-        return betti_table(ideal, fieldspec, lattice_cap)
+    """betti_table through a read-through disk cache."""
     key = betti_cache_key(ideal, fieldspec.characteristic, lattice_cap)
     found = cache.lookup(key)
     if found is not None:

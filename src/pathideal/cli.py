@@ -208,7 +208,7 @@ def _check_quotients(args) -> tuple[dict, str]:
     try:
         if not spec.num_generators:
             raise PathIdealError(f"zero ideal: n={args.n} < t={args.t}")
-        outcome = linear_quotients_check(spec, args.power)
+        outcome = linear_quotients_check(spec, _pairs(args))
     except PathIdealError as exc:
         payload["error"] = str(exc)
         return payload, f"linear quotients: ERROR ({exc})"
@@ -237,7 +237,7 @@ def _check_quasi(args) -> tuple[dict, str]:
         lines.append(f"  witness: colon into {generator} "
                      f"has non-variable generator {colon_generator}")
     if args.n >= 2 * args.t + 1:
-        w = quasi_linear_witness(PathIdealSpec(args.n, args.t), args.power)
+        w = quasi_linear_witness(PathIdealSpec(args.n, args.t), _pairs(args))
         excluded = format_monomial(w.excluded)
         colon = [format_monomial(g) for g in w.colon_generators]
         payload["break"] = {"excluded": excluded, "colon": colon,
@@ -339,7 +339,13 @@ def _cmd_table(args) -> int:
         text = Path(args.report).read_text(encoding="utf-8")
     except OSError as exc:
         raise PathIdealError(f"cannot read report {args.report}: {exc}") from exc
-    rendered = emit_table(VerificationReport.from_json(text), args.format, args.out)
+    try:
+        report = VerificationReport.from_json(text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PathIdealError(
+            f"malformed report {args.report}: {type(exc).__name__}: {exc}"
+        ) from exc
+    rendered = emit_table(report, args.format, args.out)
     if args.out is None:
         sys.stdout.write(rendered)
     return 0

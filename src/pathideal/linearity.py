@@ -23,12 +23,7 @@ from .monomials import (
     _ideal_of_rows,
     mono_pow,
 )
-from .path_ideals import (
-    Composition,
-    PathIdealSpec,
-    line_graph_generators,
-    power_generators,
-)
+from .path_ideals import Composition, PathIdealSpec, line_graph_generators
 
 __all__ = [
     "QuotientCertificate",
@@ -138,36 +133,21 @@ def _colon_steps(E: np.ndarray, rows: np.ndarray, start: int = 0):
 
 
 def linear_quotients_check(
-    spec: PathIdealSpec,
-    s: int,
-    order: list[Composition] | None = None,
+    spec: PathIdealSpec, pairs: list[tuple[Composition, Monomial]]
 ) -> QuotientCertificate | QuotientFailure:
-    """Run the prefix-colon test over the power generators in order.
+    """Run the prefix-colon test over power generators in the order given.
 
-    The default order is the lexicographically decreasing one.  Each step
-    colons one generator against all earlier ones; success means every such
-    colon is generated by variables.  In the overlap regime t <= n <= 2t
-    the brute-force variable set must also match closed_form_colon, and a
-    mismatch raises ColonFormMismatchError.
+    pairs are the (composition, generator) pairs of a power of the spec's
+    ideal, in the order to certify; power_generators returns them in the
+    lexicographically decreasing one.  Each step colons one generator
+    against all earlier ones; success means every such colon is generated
+    by variables.  In the overlap regime t <= n <= 2t the brute-force
+    variable set must also match closed_form_colon, and a mismatch raises
+    ColonFormMismatchError.
     """
-    return _quotients_of_pairs(spec, power_generators(spec, s), order)
-
-
-def _quotients_of_pairs(
-    spec: PathIdealSpec,
-    pairs: list[tuple[Composition, Monomial]],
-    order: list[Composition] | None = None,
-) -> QuotientCertificate | QuotientFailure:
-    """linear_quotients_check on the power generators pairs, built by the caller."""
-    by_parts = {c.parts: m for c, m in pairs}
-    if order is None:
-        ordered = [c for c, _ in pairs]
-    else:
-        ordered = list(order)
-        if sorted(c.parts for c in ordered) != sorted(by_parts):
-            raise ValueError("order is not a permutation of the power generators")
+    ordered = [c for c, _ in pairs]
     check_closed_form = spec.t <= spec.n <= 2 * spec.t
-    E = _exponent_matrix((by_parts[c.parts] for c in ordered), spec.n)
+    E = _exponent_matrix((g for _, g in pairs), spec.n)
     earlier = np.tri(len(ordered), k=-1, dtype=bool)  # step m colons rows i < m
     colon_vars: list[frozenset[int]] = []
     counts: list[int] = []
@@ -210,9 +190,13 @@ def quasi_linear_check(ideal: MonomialIdeal) -> QuasiLinearResult:
     return QuasiLinearResult(True, None)
 
 
-def quasi_linear_witness(spec: PathIdealSpec, s: int) -> QuasiLinearBreak:
+def quasi_linear_witness(
+    spec: PathIdealSpec, pairs: list[tuple[Composition, Monomial]]
+) -> QuasiLinearBreak:
     """Build the explicit quasi-linearity breaker for n >= 2t + 1.
 
+    pairs are the (composition, generator) pairs of the power I^s, as
+    power_generators returns them; s is read from their compositions.
     Excluding alpha = u_{n-t+1}^s, the colon of the remaining power
     generators by alpha has x_{n-t} as its only degree-one generator (it
     arises from u_{n-t} * u_{n-t+1}^{s-1}), yet x_{n-t} does not divide
@@ -220,15 +204,7 @@ def quasi_linear_witness(spec: PathIdealSpec, s: int) -> QuasiLinearBreak:
     """
     if spec.n < 2 * spec.t + 1:
         raise ValueError(f"need n >= 2t+1, got n={spec.n}, t={spec.t}")
-    if s < 1:
-        raise ValueError(f"power must be >= 1, got {s}")
-    return _witness_of_pairs(spec, s, power_generators(spec, s))
-
-
-def _witness_of_pairs(
-    spec: PathIdealSpec, s: int, pairs: list[tuple[Composition, Monomial]]
-) -> QuasiLinearBreak:
-    """quasi_linear_witness on the power generators pairs, built by the caller."""
+    s = pairs[0][0].total
     gens = line_graph_generators(spec)
     alpha = mono_pow(gens[-1], s)
     rest = _exponent_matrix(
@@ -239,7 +215,7 @@ def _witness_of_pairs(
     var = spec.n - spec.t
     unique = len(degree_one) == 1 and degree_one[0].support() == frozenset({var})
     first_power = mono_pow(gens[0], s)
-    misses = first_power.degree_of(var) == 0
+    misses = first_power.exponents[var - 1] == 0
     return QuasiLinearBreak(
         excluded=alpha,
         colon_generators=colon.generators,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import InitVar, dataclass
 from typing import Iterable
 
@@ -26,14 +25,9 @@ __all__ = [
     "POWER_PRODUCT_CAP",
     "Monomial",
     "MonomialIdeal",
-    "variable",
-    "unit",
-    "parse_monomial",
     "format_monomial",
     "mono_divides",
-    "mono_mul",
     "mono_pow",
-    "mono_quotient",
     "minimalize",
     "colon_by_monomial",
     "ideal_power",
@@ -44,7 +38,8 @@ __all__ = [
 EXPONENT_CAP = 1 << 16
 
 # Default cap on the number of s-fold generator products enumerated by
-# ideal_power before minimalization.
+# ideal_power before minimalization, and on the power generators listed by
+# power_generators.
 POWER_PRODUCT_CAP = 200_000
 
 # Byte budget for the scratch arrays of one chunk of a numpy pass.
@@ -75,12 +70,6 @@ class Monomial:
         """Total degree."""
         return sum(self.exponents)
 
-    def degree_of(self, var: int) -> int:
-        """Exponent of x_var (1-based index)."""
-        if not 1 <= var <= self.ambient:
-            raise IndexError(f"variable x{var} outside ambient {self.ambient}")
-        return self.exponents[var - 1]
-
     def is_unit(self) -> bool:
         return not any(self.exponents)
 
@@ -90,38 +79,6 @@ class Monomial:
 
     def __str__(self) -> str:
         return format_monomial(self)
-
-
-def variable(ambient: int, index: int) -> Monomial:
-    """The monomial x_index (1-based) in an ambient ring of the given size."""
-    if not 1 <= index <= ambient:
-        raise IndexError(f"variable x{index} outside ambient {ambient}")
-    return Monomial(tuple(1 if i == index - 1 else 0 for i in range(ambient)))
-
-
-def unit(ambient: int) -> Monomial:
-    """The monomial 1."""
-    return Monomial((0,) * ambient)
-
-
-_TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
-
-
-def parse_monomial(text: str, ambient: int) -> Monomial:
-    """Parse the text form, e.g. ``x1^2*x3`` or ``1``."""
-    text = text.strip()
-    if text == "1":
-        return unit(ambient)
-    exps = [0] * ambient
-    for term in text.split("*"):
-        m = _TERM_RE.match(term.strip())
-        if m is None:
-            raise ValueError(f"malformed monomial term {term!r} in {text!r}")
-        idx, exp = int(m.group(1)), int(m.group(2) or 1)
-        if not 1 <= idx <= ambient:
-            raise ValueError(f"variable x{idx} outside ambient {ambient}")
-        exps[idx - 1] += exp
-    return Monomial(tuple(exps))
 
 
 def format_monomial(m: Monomial) -> str:
@@ -150,16 +107,6 @@ def mono_divides(a: Monomial, b: Monomial) -> bool:
     return all(x <= y for x, y in zip(a.exponents, b.exponents))
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    _same_ambient(a, b)
-    exps = tuple(x + y for x, y in zip(a.exponents, b.exponents))
-    if sum(exps) > EXPONENT_CAP:
-        raise ExponentOverflowError(
-            f"degree {sum(exps)} above cap {EXPONENT_CAP}"
-        )
-    return Monomial(exps)
-
-
 def mono_pow(a: Monomial, k: int) -> Monomial:
     if k < 0:
         raise ValueError("negative power")
@@ -168,12 +115,6 @@ def mono_pow(a: Monomial, k: int) -> Monomial:
             f"degree {a.degree * k} above cap {EXPONENT_CAP}"
         )
     return Monomial(tuple(e * k for e in a.exponents))
-
-
-def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
-    """a / gcd(a, b), i.e. componentwise max(a_k - b_k, 0)."""
-    _same_ambient(a, b)
-    return Monomial(tuple(max(x - y, 0) for x, y in zip(a.exponents, b.exponents)))
 
 
 @dataclass(frozen=True)
@@ -215,14 +156,6 @@ class MonomialIdeal:
 
     def is_zero(self) -> bool:
         return not self.generators
-
-    def contains(self, m: Monomial) -> bool:
-        """Ideal membership: some generator divides m."""
-        if m.ambient != self.ambient:
-            raise AmbientMismatchError(
-                f"ambient mismatch: {m.ambient} vs {self.ambient}"
-            )
-        return any(mono_divides(g, m) for g in self.generators)
 
     def generator_degrees(self) -> tuple[int, ...]:
         return tuple(g.degree for g in self.generators)
@@ -345,7 +278,7 @@ def ideal_power(
             break
         over = np.flatnonzero(degrees[idx].sum(axis=1) > EXPONENT_CAP)
         if s > 1 and over.size:
-            # name the first partial product over the cap, as mono_mul would
+            # name the first partial product over the cap
             partial = list(itertools.accumulate(degrees[idx[over[0]]].tolist()))
             first = next(d for d in partial[1:] if d > EXPONENT_CAP)
             raise ExponentOverflowError(f"degree {first} above cap {EXPONENT_CAP}")

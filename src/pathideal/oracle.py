@@ -556,9 +556,6 @@ class BettiTable:
             out[i] = out.get(i, 0) + r
         return dict(sorted(out.items()))
 
-    def total(self, i: int) -> int:
-        return self.totals().get(i, 0)
-
     def graded(self) -> dict[tuple[int, int], int]:
         """Graded Betti numbers {(i, total degree j): rank}."""
         out: dict[tuple[int, int], int] = {}

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import ExponentOverflowError, SizeCapExceededError
-from .monomials import EXPONENT_CAP, Monomial, MonomialIdeal, minimalize
+from .monomials import (
+    EXPONENT_CAP,
+    POWER_PRODUCT_CAP,
+    Monomial,
+    MonomialIdeal,
+    minimalize,
+)
 
 __all__ = [
     "PathIdealSpec",
@@ -130,7 +136,7 @@ def composition_count(total: int, k: int) -> int:
 
 
 def power_generators(
-    spec: PathIdealSpec, s: int, max_count: int = 200_000
+    spec: PathIdealSpec, s: int, max_count: int = POWER_PRODUCT_CAP
 ) -> list[tuple[Composition, Monomial]]:
     """Minimal generators of the s-th power, paired with their compositions.
 

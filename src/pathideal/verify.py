@@ -32,11 +32,12 @@ from .formulas import (
 )
 from .linearity import (
     QuotientCertificate,
-    _quotients_of_pairs,
-    _witness_of_pairs,
+    linear_quotients_check,
     quasi_linear_check,
+    quasi_linear_witness,
 )
 from .monomials import (
+    POWER_PRODUCT_CAP,
     MonomialIdeal,
     colon_by_monomial,
     ideal_power,
@@ -85,7 +86,7 @@ class SweepConfig:
     s_max: int = 3
     deep_n_max: int = 7
     chars: tuple[int, ...] = (2,)
-    power_cap: int = 200_000
+    power_cap: int = POWER_PRODUCT_CAP
     lattice_cap: int = DEFAULT_LATTICE_CAP
     augmented_s_max: int = 2
     jobs: int = 1
@@ -259,7 +260,7 @@ class _CellState:
     def quotients(self):
         # from the cell's capped pairs, so the power cap skips these rows too
         return self._get(
-            "quotients", lambda: _quotients_of_pairs(self.spec, self.pairs())
+            "quotients", lambda: linear_quotients_check(self.spec, self.pairs())
         )
 
     def table(self, p: int, ideal: MonomialIdeal | None = None) -> BettiTable:
@@ -337,7 +338,7 @@ def _quasi_linear(state: _CellState) -> bool:
 
 
 def _witness(state: _CellState) -> str:
-    w = _witness_of_pairs(state.spec, state.s, state.pairs())
+    w = quasi_linear_witness(state.spec, state.pairs())
     if not w.valid:
         return "witness facts violated"
     if any(g.degree != 1 for g in w.colon_generators):

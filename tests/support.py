@@ -1,5 +1,9 @@
 """Shared test helpers: monomial shorthands and reference routes.
 
+m parses the text form that format_monomial renders; mono_mul,
+mono_quotient and contains are the one-Monomial-at-a-time arithmetic the
+object routes are built from.
+
 The object routes are the library's colon, power and linearity algorithms
 as loops over Monomial objects, one colon step and one product at a time,
 against which the exponent-matrix routes of the package are checked.
@@ -15,10 +19,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import numpy as np
 
-from pathideal.errors import ColonFormMismatchError, SizeCapExceededError
+from pathideal.errors import (
+    ColonFormMismatchError,
+    ExponentOverflowError,
+    SizeCapExceededError,
+)
 from pathideal.linearity import (
     QuasiLinearResult,
     QuotientCertificate,
@@ -26,21 +35,55 @@ from pathideal.linearity import (
     closed_form_colon,
 )
 from pathideal.monomials import (
+    EXPONENT_CAP,
     Monomial,
     MonomialIdeal,
+    _same_ambient,
     minimalize,
-    mono_mul,
-    mono_quotient,
-    parse_monomial,
+    mono_divides,
 )
 from pathideal.oracle import gfp_rank
 from pathideal.path_ideals import Composition, PathIdealSpec, power_generators
 
 Face = tuple[int, ...]
 
+_TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+
 
 def m(text: str, ambient: int) -> Monomial:
-    return parse_monomial(text, ambient)
+    """Parse the text form, e.g. ``x1^2*x3`` or ``1``."""
+    text = text.strip()
+    exps = [0] * ambient
+    if text == "1":
+        return Monomial(tuple(exps))
+    for term in text.split("*"):
+        match = _TERM_RE.match(term.strip())
+        if match is None:
+            raise ValueError(f"malformed monomial term {term!r} in {text!r}")
+        idx, exp = int(match.group(1)), int(match.group(2) or 1)
+        if not 1 <= idx <= ambient:
+            raise ValueError(f"variable x{idx} outside ambient {ambient}")
+        exps[idx - 1] += exp
+    return Monomial(tuple(exps))
+
+
+def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    _same_ambient(a, b)
+    exps = tuple(x + y for x, y in zip(a.exponents, b.exponents))
+    if sum(exps) > EXPONENT_CAP:
+        raise ExponentOverflowError(f"degree {sum(exps)} above cap {EXPONENT_CAP}")
+    return Monomial(exps)
+
+
+def mono_quotient(a: Monomial, b: Monomial) -> Monomial:
+    """a / gcd(a, b), i.e. componentwise max(a_k - b_k, 0)."""
+    _same_ambient(a, b)
+    return Monomial(tuple(max(x - y, 0) for x, y in zip(a.exponents, b.exponents)))
+
+
+def contains(ideal: MonomialIdeal, mono: Monomial) -> bool:
+    """Ideal membership: some generator divides mono."""
+    return any(mono_divides(g, mono) for g in ideal.generators)
 
 
 def ideal(texts: list[str], ambient: int) -> MonomialIdeal:
@@ -80,14 +123,12 @@ def power_by_objects(ideal: MonomialIdeal, s: int, max_products: int) -> Monomia
 
 
 def linear_quotients_by_objects(
-    spec: PathIdealSpec, s: int, order: list[Composition] | None = None
+    spec: PathIdealSpec, pairs: list[tuple[Composition, Monomial]]
 ) -> QuotientCertificate | QuotientFailure:
-    """The prefix-colon test, each colon minimalized from its quotients."""
-    pairs = power_generators(spec, s)
-    by_parts = {c.parts: g for c, g in pairs}
-    ordered = [c for c, _ in pairs] if order is None else list(order)
+    """The prefix-colon test in the order given, each colon minimalized."""
+    ordered = [c for c, _ in pairs]
+    monos = [g for _, g in pairs]
     check_closed_form = spec.t <= spec.n <= 2 * spec.t
-    monos = [by_parts[c.parts] for c in ordered]
     colon_vars, counts = [], []
     for k in range(1, len(ordered)):
         quotients = (mono_quotient(monos[i], monos[k]) for i in range(k))
@@ -140,7 +181,7 @@ def koszul_by_definition(i: MonomialIdeal, b: Monomial) -> set[Face]:
         tuple(j + 1 for j in sigma)
         for r in range(len(supp) + 1)
         for sigma in itertools.combinations(supp, r)
-        if i.contains(Monomial(tuple(e - (j in sigma) for j, e in enumerate(exps))))
+        if contains(i, Monomial(tuple(e - (j in sigma) for j, e in enumerate(exps))))
     }
 
 

@@ -13,16 +13,23 @@ from pathideal.linearity import (
     quasi_linear_check,
     quasi_linear_witness,
 )
-from pathideal.monomials import (
-    minimalize,
-    mono_quotient,
-)
+from pathideal.monomials import minimalize
 from pathideal.path_ideals import (
     Composition,
     PathIdealSpec,
     power_generators,
 )
-from support import m, power
+from support import m, mono_quotient, power
+
+
+def certify(n, t, s):
+    spec = PathIdealSpec(n, t)
+    return linear_quotients_check(spec, power_generators(spec, s))
+
+
+def witness(n, t, s):
+    spec = PathIdealSpec(n, t)
+    return quasi_linear_witness(spec, power_generators(spec, s))
 
 
 def naive_prefix_colon_vars(spec, s):
@@ -44,7 +51,7 @@ def naive_prefix_colon_vars(spec, s):
 
 
 def test_sort_order_is_lex_decreasing():
-    cert = linear_quotients_check(PathIdealSpec(4, 2), 2)
+    cert = certify(4, 2, 2)
     assert [c.parts for c in cert.order] == [
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)
     ]
@@ -63,7 +70,7 @@ def test_closed_form_colon_anchors():
 
 
 def test_certificate_anchor_5_3_2():
-    cert = linear_quotients_check(PathIdealSpec(5, 3), 2)
+    cert = certify(5, 3, 2)
     assert isinstance(cert, QuotientCertificate)
     assert [c.parts for c in cert.order] == [
         (2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2),
@@ -81,7 +88,7 @@ def test_certificate_anchor_5_3_2():
 
 def test_certificate_matches_naive_colons_in_overlap():
     for n, t, s in [(4, 2, 1), (4, 2, 3), (5, 3, 2), (6, 3, 2), (8, 4, 2)]:
-        cert = linear_quotients_check(PathIdealSpec(n, t), s)
+        cert = certify(n, t, s)
         assert isinstance(cert, QuotientCertificate)
         assert list(cert.colon_variables) == naive_prefix_colon_vars(
             PathIdealSpec(n, t), s
@@ -89,14 +96,14 @@ def test_certificate_matches_naive_colons_in_overlap():
 
 
 def test_certificate_single_generator_case():
-    cert = linear_quotients_check(PathIdealSpec(3, 3), 5)
+    cert = certify(3, 3, 5)
     assert isinstance(cert, QuotientCertificate)
     assert cert.colon_variables == ()
     assert cert.census() == {}
 
 
 def test_certificate_first_power_has_single_variable_steps():
-    cert = linear_quotients_check(PathIdealSpec(6, 3), 1)
+    cert = certify(6, 3, 1)
     assert isinstance(cert, QuotientCertificate)
     assert cert.colon_variables == (frozenset({1}), frozenset({2}), frozenset({3}))
 
@@ -104,27 +111,19 @@ def test_certificate_first_power_has_single_variable_steps():
 def test_default_order_fails_beyond_overlap():
     # For n > 2t the first generator no longer shares support with the last
     # ones, so some prefix colon keeps a full degree-t generator.
-    res = linear_quotients_check(PathIdealSpec(7, 3), 1)
+    res = certify(7, 3, 1)
     assert isinstance(res, QuotientFailure)
     assert res.position == 5
     assert res.composition.parts == (0, 0, 0, 0, 1)
     assert res.offender == m("x1*x2*x3", 7)
 
 
-def test_explicit_order_must_be_a_permutation():
-    with pytest.raises(ValueError):
-        linear_quotients_check(
-            PathIdealSpec(5, 3), 1, order=[Composition((1, 0, 0))]
-        )
-
-
 def test_explicit_bad_order_reports_failure_position():
     # Reversed order in the overlap regime stays linear-quotient but breaks
     # the composition-based closed form, which must raise loudly.
     spec = PathIdealSpec(4, 2)
-    order = [c for c, _ in power_generators(spec, 1)][::-1]
     with pytest.raises(ColonFormMismatchError):
-        linear_quotients_check(spec, 1, order=order)
+        linear_quotients_check(spec, power_generators(spec, 1)[::-1])
 
 
 # ---------------------------------------------------------------- quasi-linearity
@@ -155,7 +154,7 @@ def test_quasi_linear_rejects_mixed_degrees():
 
 
 def test_witness_anchor_7_3_1():
-    br = quasi_linear_witness(PathIdealSpec(7, 3), 1)
+    br = witness(7, 3, 1)
     assert br.excluded == m("x5*x6*x7", 7)
     assert set(br.colon_generators) == {m("x4", 7), m("x1*x2*x3", 7)}
     assert br.variable == 4
@@ -166,7 +165,7 @@ def test_witness_anchor_7_3_1():
 
 def test_witness_higher_powers_and_widths():
     for n, t, s in [(7, 3, 2), (8, 3, 1), (9, 4, 1), (9, 4, 2), (7, 2, 2)]:
-        br = quasi_linear_witness(PathIdealSpec(n, t), s)
+        br = witness(n, t, s)
         assert br.variable == n - t
         assert br.valid
         assert any(g.degree > 1 for g in br.colon_generators)
@@ -174,14 +173,12 @@ def test_witness_higher_powers_and_widths():
 
 def test_witness_requires_wide_path():
     with pytest.raises(ValueError):
-        quasi_linear_witness(PathIdealSpec(6, 3), 1)
-    with pytest.raises(ValueError):
-        quasi_linear_witness(PathIdealSpec(7, 3), 0)
+        witness(6, 3, 1)
 
 
 def test_witness_agrees_with_general_scan():
     for n, t, s in [(7, 3, 1), (9, 4, 1), (7, 2, 2)]:
-        br = quasi_linear_witness(PathIdealSpec(n, t), s)
+        br = witness(n, t, s)
         res = quasi_linear_check(power(n, t, s))
         assert not res.is_quasi_linear
         assert res.witness[0] == br.excluded

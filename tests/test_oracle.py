@@ -38,6 +38,7 @@ from pathideal.path_ideals import PathIdealSpec, line_graph_generators, path_ide
 from pathideal.verify import SweepConfig, run_sweep
 from support import (
     betti_via_public_route,
+    contains,
     from_faces,
     ideal,
     koszul_by_definition,
@@ -91,7 +92,7 @@ def non_full_lattice(i: MonomialIdeal, lattice=None) -> list[tuple[int, ...]]:
         lattice = [b.exponents for b in lcm_lattice(i)]
     return [
         b for b in lattice
-        if not any(b) or not i.contains(Monomial(tuple(max(e - 1, 0) for e in b)))
+        if not any(b) or not contains(i, Monomial(tuple(max(e - 1, 0) for e in b)))
     ]
 
 

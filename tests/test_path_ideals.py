@@ -169,7 +169,7 @@ def test_variable_pattern_in_overlap_regime():
         for comp, mono in power_generators(spec, 2):
             for k in range(1, n - t + 1):
                 expected = sum(comp.parts[:k])
-                assert mono.degree_of(k) == expected
+                assert mono.exponents[k - 1] == expected
 
 
 @given(

@@ -27,7 +27,7 @@ from pathideal.cache import (
 )
 from pathideal.cli import _sweep_config, build_parser, main
 from pathideal.errors import ColonFormMismatchError, PathIdealError
-from pathideal.monomials import minimalize, parse_monomial
+from pathideal.monomials import minimalize
 from pathideal.oracle import GF2, BettiTable, FieldSpec
 from pathideal.path_ideals import composition_count
 from pathideal.verify import (
@@ -39,10 +39,9 @@ from pathideal.verify import (
     run_sweep,
     sweep_cells,
 )
+from support import m
 
-EDGE_IDEAL_3 = minimalize(
-    [parse_monomial("x1*x2", 3), parse_monomial("x2*x3", 3)], ambient=3
-)
+EDGE_IDEAL_3 = minimalize([m("x1*x2", 3), m("x2*x3", 3)], ambient=3)
 
 
 def tiny_config(cache_dir, **kw) -> SweepConfig:
@@ -179,7 +178,7 @@ def test_broken_cell_gives_fail_row(tmp_path, monkeypatch):
     def broken(spec, pairs):
         raise ColonFormMismatchError("colon 2 disagrees with its closed form")
 
-    monkeypatch.setattr(verify_mod, "_quotients_of_pairs", broken)
+    monkeypatch.setattr(verify_mod, "linear_quotients_check", broken)
     cfg = tiny_config(tmp_path / "cache", n_min=3, n_max=3, s_max=1, jobs=1)
     report = run_sweep(cfg)
     census = [r for r in report.rows if r.quantity == "s_k_census"]
@@ -195,9 +194,9 @@ def test_broken_cell_gives_fail_row(tmp_path, monkeypatch):
 
 
 def test_linear_quotients_check_runs_once_per_cell(tmp_path, monkeypatch):
-    calls, real = [], verify_mod._quotients_of_pairs
+    calls, real = [], verify_mod.linear_quotients_check
     monkeypatch.setattr(
-        verify_mod, "_quotients_of_pairs",
+        verify_mod, "linear_quotients_check",
         lambda spec, pairs: calls.append((spec.n, spec.t, pairs[0][0].total))
         or real(spec, pairs),
     )
@@ -224,7 +223,6 @@ def test_warm_default_sweep_builds_each_cells_power_generators_once(tmp_path, mo
     modules = [mod for name, mod in sorted(sys.modules.items())
                if name == "pathideal" or name.startswith("pathideal.")]
     for owner, name in [("pathideal.path_ideals", "power_generators"),
-                        ("pathideal.monomials", "mono_quotient"),
                         ("pathideal.monomials", "minimalize")]:
         original = getattr(sys.modules[owner], name)
 
@@ -239,7 +237,6 @@ def test_warm_default_sweep_builds_each_cells_power_generators_once(tmp_path, mo
     report = run_sweep(cfg)
     assert report.summary["fail"] == 0
     assert calls["power_generators"] == len(sweep_cells(cfg)) == 57
-    assert calls["mono_quotient"] == 0
     assert calls["minimalize"] < 520
 
 
@@ -565,7 +562,8 @@ def test_second_sweep_is_served_from_cache(tmp_path, monkeypatch):
 
 
 def test_perfbench_tracer_targets_exist(tmp_path, monkeypatch):
-    # perfbench/tracing.py wraps these by name from outside the package.
+    # perfbench/tracing.py wraps these by name from outside the package, and
+    # perfbench/worker.py measures the lattice through pathideal.lcm_lattice.
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -576,13 +574,22 @@ def test_perfbench_tracer_targets_exist(tmp_path, monkeypatch):
     for module, cls, attr, _ in tracing.TRACED_METHODS:
         owner = getattr(importlib.import_module(module), cls)
         assert callable(owner.__dict__.get(attr)), f"{cls}.{attr}"
+    assert callable(getattr(importlib.import_module("pathideal"), "lcm_lattice", None))
+    cfg = tiny_config(tmp_path / "cache", n_max=6, s_max=2, jobs=1)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        run_sweep(tiny_config(tmp_path / "cache", n_max=3, s_max=1, jobs=1))
+        run_sweep(cfg)
     finally:
         tracer.uninstall()
-    assert {"cache.lookup", "cache.store", "oracle.betti_table"} <= set(tracer.stats())
+    stats = tracer.stats()
+    assert {"cache.lookup", "cache.store", "oracle.betti_table"} <= set(stats)
+    # the sweep's linearity work reaches the tracer: one call per cell
+    cells = sweep_cells(cfg)
+    overlap = sum(n <= 2 * t for n, t, _ in cells)
+    assert 0 < overlap < len(cells)
+    assert stats["linearity.linear_quotients_check"].calls == overlap
+    assert stats["linearity.quasi_linear_witness"].calls == len(cells) - overlap
 
 
 # ---------------------------------------------------------------- config file
@@ -833,6 +840,23 @@ def test_cli_verify_and_table_round_trip(capsys, tmp_path):
     )
     assert code == 0
     assert out == out_csv.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"config": {}}', "KeyError"),
+    ("[1]", "TypeError"),
+    ('{"config": {}, "environment": {}, "summary": {}, '
+     '"rows": [{"n": 3, "s": 1, "quantity": "reg", "formula": 1, "oracle": 1, '
+     '"status": "pass"}]}', "KeyError"),
+])
+def test_cli_table_refuses_a_malformed_report(capsys, tmp_path, text, error):
+    path = tmp_path / "report.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["table", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"pathideal: malformed report {path}: {error}: ")
+    assert err.count("\n") == 1, err
 
 
 def test_cli_verify_config_file_with_flag_override(capsys, tmp_path):
