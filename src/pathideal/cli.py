@@ -29,15 +29,14 @@ import sys
 from pathlib import Path
 
 from ._version import __version__
-from .cache import BettiCache, cached_betti_table
+from .cache import BettiCache
 from .errors import PathIdealError
 from .formulas import betti_closed_form, gamma, pd_closed_form, reg_power
-from .linearity import (QuotientCertificate, linear_quotients_check,
-                        quasi_linear_check, quasi_linear_witness)
-from .monomials import MonomialIdeal, format_monomial, minimalize
-from .oracle import BettiTable, FieldSpec
-from .path_ideals import PathIdealSpec, power_generators
-from .verify import SweepConfig, VerificationReport, emit_table, run_sweep, sweep_cells
+from .linearity import QuotientCertificate, quasi_linear_check, quasi_linear_witness
+from .monomials import POWER_PRODUCT_CAP, format_monomial
+from .oracle import DEFAULT_LATTICE_CAP
+from .verify import (SweepConfig, VerificationReport, _CellState, emit_table,
+                     run_sweep, sweep_cells)
 
 __all__ = ["main", "build_parser"]
 
@@ -126,31 +125,19 @@ def _emit_json(obj, dest: str) -> None:
             raise PathIdealError(f"cannot write {dest}: {exc}") from exc
 
 
-def _spec(args) -> PathIdealSpec:
-    """The spec of I_t(L_n); a --power below 1 is refused whatever n is."""
+def _cell(args) -> _CellState:
+    """The sweep's cell under the default caps; refuses a power below 1 for every n."""
     if args.power < 1:
         raise ValueError(f"power must be >= 1, got {args.power}")
-    return PathIdealSpec(args.n, args.t)
-
-
-def _pairs(args) -> list:
-    """(composition, generator) pairs of I_t(L_n)^s; none for the zero ideal."""
-    spec = _spec(args)
-    return power_generators(spec, args.power) if spec.num_generators else []
-
-
-def _power_ideal(args) -> MonomialIdeal:
-    return minimalize([m for _, m in _pairs(args)], ambient=args.n)
-
-
-def _betti_table(args) -> BettiTable:
-    cache = BettiCache(args.cache_dir)
-    return cached_betti_table(_power_ideal(args), FieldSpec(args.char), cache)
+    cache = BettiCache(args.cache_dir) if hasattr(args, "cache_dir") else None
+    return _CellState(args.n, args.t, args.power, cache,
+                      POWER_PRODUCT_CAP, DEFAULT_LATTICE_CAP)
 
 
 def _cmd_gens(args) -> int:
     """gens prints the generators; power labels each with its composition."""
-    pairs = _pairs(args)
+    cell = _cell(args)
+    pairs = cell.pairs() if cell.spec.num_generators else []
     labelled = args.command == "power"
     if args.json:
         payload: dict = {"n": args.n, "t": args.t, "power": args.power}
@@ -173,7 +160,7 @@ def _cmd_gens(args) -> int:
 
 
 def _cmd_betti(args) -> int:
-    table = _betti_table(args)
+    table = _cell(args).table(args.char)
     if args.json:
         _emit_json(table.to_dict(), args.json)
     elif table.is_empty():
@@ -188,7 +175,7 @@ def _cmd_betti(args) -> int:
 
 def _cmd_reg(args) -> int:
     formula = reg_power(args.n, args.t, args.power)
-    oracle = _betti_table(args).quotient_regularity()
+    oracle = _cell(args).table(args.char).quotient_regularity()
     match = formula == oracle
     if args.json:
         payload = {"n": args.n, "t": args.t, "power": args.power, "char": args.char}
@@ -201,14 +188,13 @@ def _cmd_reg(args) -> int:
     return 0 if match else 1
 
 
-def _check_quotients(args) -> tuple[dict, str]:
+def _check_quotients(cell: _CellState) -> tuple[dict, str]:
     """The linear-quotient check's JSON payload and its line of text."""
     payload: dict = {"mode": "quotients", "ok": False}
-    spec = _spec(args)
     try:
-        if not spec.num_generators:
-            raise PathIdealError(f"zero ideal: n={args.n} < t={args.t}")
-        outcome = linear_quotients_check(spec, _pairs(args))
+        if not cell.spec.num_generators:
+            raise PathIdealError(f"zero ideal: n={cell.n} < t={cell.t}")
+        outcome = cell.quotients()
     except PathIdealError as exc:
         payload["error"] = str(exc)
         return payload, f"linear quotients: ERROR ({exc})"
@@ -225,9 +211,9 @@ def _check_quotients(args) -> tuple[dict, str]:
                      f"(position {outcome.position}, offender {offender})")
 
 
-def _check_quasi(args) -> tuple[dict, str]:
+def _check_quasi(cell: _CellState) -> tuple[dict, str]:
     """The quasi-linearity check's JSON payload and its lines of text."""
-    result = quasi_linear_check(_power_ideal(args))
+    result = quasi_linear_check(cell.power_ideal())
     payload: dict = {"mode": "quasi", "quasi_linear": result.is_quasi_linear}
     lines = [f"quasi-linear: {'yes' if result.is_quasi_linear else 'no'}"]
     if result.witness is not None:
@@ -236,8 +222,8 @@ def _check_quasi(args) -> tuple[dict, str]:
                               "colon_generator": colon_generator}
         lines.append(f"  witness: colon into {generator} "
                      f"has non-variable generator {colon_generator}")
-    if args.n >= 2 * args.t + 1:
-        w = quasi_linear_witness(PathIdealSpec(args.n, args.t), _pairs(args))
+    if cell.n >= 2 * cell.t + 1:
+        w = quasi_linear_witness(cell.spec, cell.pairs())
         excluded = format_monomial(w.excluded)
         colon = [format_monomial(g) for g in w.colon_generators]
         payload["break"] = {"excluded": excluded, "colon": colon,
@@ -249,7 +235,8 @@ def _check_quasi(args) -> tuple[dict, str]:
 
 
 def _cmd_check(args) -> int:
-    sections = [check(args) for mode, check in
+    cell = _cell(args)
+    sections = [check(cell) for mode, check in
                 (("quotients", _check_quotients), ("quasi", _check_quasi))
                 if args.mode in (mode, "both")]
     payloads = [payload for payload, _ in sections]

@@ -104,25 +104,26 @@ def closed_form_colon(comp: Composition) -> frozenset[int]:
     )
 
 
-def _colon_steps(E: np.ndarray, rows: np.ndarray, start: int = 0):
+def _colon_steps(E: np.ndarray, keep: np.ufunc, start: int = 0):
     """Which colons of rows of E by one row are generated by variables.
 
-    Step u, for each row u from start on, colons the rows marked in rows[u]
+    Step u, for each row u from start on, colons the rows i with keep(i, u)
     by row u: its quotient rows are max(E[i] - E[u], 0).  The colon is
     generated by variables iff every quotient row has a positive entry at a
     variable that some degree-1 quotient row holds.  Such a covered row is
     divisible by that variable, and an uncovered row can only be divided
     by another uncovered row, so the colon's minimal generators of degree
     other than 1 are the minimal uncovered rows; no step is minimalized.
-    Steps are stacked a chunk at a time within _CHUNK_BYTES.  Yields u, the
-    variables held by degree-1 rows (a list of bools, one per variable) and
-    the uncovered quotient rows, or None when there are none.
+    Steps and their row masks go a chunk at a time within _CHUNK_BYTES.
+    Yields u, the variables held by degree-1 rows (a list of bools, one per
+    variable) and the uncovered quotient rows, or None when there are none.
     """
     q, n = E.shape
     step = max(1, _CHUNK_BYTES // (8 * q * max(n, 1)))
+    rows = np.arange(q)
     for lo in range(start, q, step):
         Q = np.maximum(E[None, :, :] - E[lo : lo + step, None, :], 0)
-        mask = rows[lo : lo + step]
+        mask = keep(rows[None, :], rows[lo : lo + step, None])
         positive = Q > 0
         linear = mask & (Q.sum(axis=2) == 1)
         variables = (positive & linear[:, :, None]).any(axis=1)
@@ -148,10 +149,9 @@ def linear_quotients_check(
     ordered = [c for c, _ in pairs]
     check_closed_form = spec.t <= spec.n <= 2 * spec.t
     E = _exponent_matrix((g for _, g in pairs), spec.n)
-    earlier = np.tri(len(ordered), k=-1, dtype=bool)  # step m colons rows i < m
     colon_vars: list[frozenset[int]] = []
     counts: list[int] = []
-    for m, held, uncovered in _colon_steps(E, earlier, start=1):
+    for m, held, uncovered in _colon_steps(E, np.less, start=1):  # rows i < m
         if uncovered is not None:
             # the colon's first minimal generator of degree other than 1
             offender = _ideal_of_rows(uncovered, spec.n).generators[0]
@@ -179,11 +179,10 @@ def quasi_linear_check(ideal: MonomialIdeal) -> QuasiLinearResult:
     degs = set(ideal.generator_degrees())
     if len(degs) > 1:
         raise ValueError(f"mixed generator degrees {sorted(degs)}")
-    q = len(ideal.generators)
-    if q < 2:
+    if len(ideal.generators) < 2:
         return QuasiLinearResult(True, None)
     E = _exponent_matrix(ideal.generators, ideal.ambient)
-    for u, _, uncovered in _colon_steps(E, ~np.eye(q, dtype=bool)):
+    for u, _, uncovered in _colon_steps(E, np.not_equal):
         if uncovered is not None:
             offender = _ideal_of_rows(uncovered, ideal.ambient).generators[0]
             return QuasiLinearResult(False, (ideal.generators[u], offender))

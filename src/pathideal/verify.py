@@ -38,7 +38,6 @@ from .linearity import (
 )
 from .monomials import (
     POWER_PRODUCT_CAP,
-    MonomialIdeal,
     colon_by_monomial,
     ideal_power,
     minimalize,
@@ -217,13 +216,14 @@ def sweep_cells(cfg: SweepConfig) -> list[tuple[int, int, int]]:
 
 
 class _CellState:
-    """Lazily built, memoized per-cell objects shared across quantities."""
+    """Lazily built, memoized objects of one cell, for the sweep and the CLI."""
 
-    def __init__(self, cfg: SweepConfig, n: int, t: int, s: int, cache: BettiCache):
-        self.cfg = cfg
+    def __init__(self, n: int, t: int, s: int, cache: BettiCache | None,
+                 power_cap: int, lattice_cap: int):
         self.n, self.t, self.s = n, t, s
         self.spec = PathIdealSpec(n, t)
         self.cache = cache
+        self.power_cap, self.lattice_cap = power_cap, lattice_cap
         self._memo: dict[Any, Any] = {}
 
     def _get(self, key: Any, build: Callable[[], Any]) -> Any:
@@ -242,14 +242,14 @@ class _CellState:
     def pairs(self):
         return self._get(
             "pairs",
-            lambda: power_generators(self.spec, self.s, max_count=self.cfg.power_cap),
+            lambda: power_generators(self.spec, self.s, max_count=self.power_cap),
         )
 
     def power_ideal(self):
         return self._get(
             "power",
             lambda: ideal_power(
-                path_ideal(self.spec), self.s, max_products=self.cfg.power_cap
+                path_ideal(self.spec), self.s, max_products=self.power_cap
             ),
         )
 
@@ -263,20 +263,23 @@ class _CellState:
             "quotients", lambda: linear_quotients_check(self.spec, self.pairs())
         )
 
-    def table(self, p: int, ideal: MonomialIdeal | None = None) -> BettiTable:
-        """The table of ideal (by default the cell's power) over GF(p).
+    def table(self, p: int, j: int | None = None) -> BettiTable:
+        """The table of I^s, or of I^s + (u_j, ..., u_{n-t+1}), over GF(p).
 
-        Memoized by (ideal, p), so the cache is read at most once per table
-        and cell: in an s = 1 cell every augmented ideal equals the power.
+        Memoized by (j, p), so the cache is read at most once per table and
+        cell.  At s = 1 every u_j is a generator of I, so the sum is I
+        itself and j is dropped.
         """
-        if ideal is None:
+        j = None if self.s == 1 else j
+
+        def build() -> BettiTable:
             ideal = self.power_ideal()
-        return self._get(
-            ("table", ideal, p),
-            lambda: cached_betti_table(
-                ideal, FieldSpec(p), self.cache, self.cfg.lattice_cap
-            ),
-        )
+            if j is not None:
+                extra = tuple(self.lines()[j - 1 :])
+                ideal = minimalize(ideal.generators + extra, ambient=self.n)
+            return cached_betti_table(ideal, FieldSpec(p), self.cache, self.lattice_cap)
+
+        return self._get(("table", j, p), build)
 
 
 @dataclass(frozen=True)
@@ -349,18 +352,13 @@ def _witness(state: _CellState) -> str:
 def _colon_lemma(state: _CellState) -> bool:
     u_last = state.lines()[-1]
     lower = ideal_power(
-        path_ideal(state.spec), state.s - 1, max_products=state.cfg.power_cap
+        path_ideal(state.spec), state.s - 1, max_products=state.power_cap
     )
     return colon_by_monomial(state.power_ideal(), u_last) == lower
 
 
-def _augmented(j: int, state: _CellState) -> int:
-    # At s = 1 every u_j is a generator of I, so the sum is I itself.
-    augmented = state.power_ideal()
-    if state.s > 1:
-        extra = tuple(state.lines()[j - 1 :])
-        augmented = minimalize(augmented.generators + extra, ambient=state.n)
-    return state.table(state.cfg.chars[0], augmented).quotient_regularity()
+def _augmented(p: int, j: int, state: _CellState) -> int:
+    return state.table(p, j).quotient_regularity()
 
 
 def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]:
@@ -404,7 +402,8 @@ def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]
             yield _Quantity(
                 f"reg_augmented_j{j}",
                 reg_power(n, t, s) if overlap else reg_power_augmented(n, t, s, j),
-                partial(_augmented, j), "verify", sweep, report_only=overlap,
+                partial(_augmented, cfg.chars[0], j), "verify", sweep,
+                report_only=overlap,
             )
 
 
@@ -445,7 +444,7 @@ def _row(state: _CellState, q: _Quantity) -> Row:
 def _cell_rows(cfg: SweepConfig, cell: tuple[int, int, int]) -> tuple[list[Row], int]:
     """The rows of one cell, and the number of cache entries it evicted."""
     cache = BettiCache(cfg.cache_dir)
-    state = _CellState(cfg, *cell, cache)
+    state = _CellState(*cell, cache, cfg.power_cap, cfg.lattice_cap)
     return [_row(state, q) for q in _quantities(cfg, *cell)], cache.evictions
 
 
@@ -454,7 +453,7 @@ def run_sweep(cfg: SweepConfig) -> VerificationReport:
     cells = sweep_cells(cfg)
     cell_rows = partial(_cell_rows, cfg)
     if cfg.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cells))) as pool:
             parts = list(pool.map(cell_rows, cells))
     else:
         parts = list(map(cell_rows, cells))

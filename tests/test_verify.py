@@ -27,7 +27,7 @@ from pathideal.cache import (
 )
 from pathideal.cli import _sweep_config, build_parser, main
 from pathideal.errors import ColonFormMismatchError, PathIdealError
-from pathideal.monomials import minimalize
+from pathideal.monomials import MonomialIdeal, minimalize
 from pathideal.oracle import GF2, BettiTable, FieldSpec
 from pathideal.path_ideals import composition_count
 from pathideal.verify import (
@@ -267,6 +267,24 @@ def test_sweep_repros_rerun_their_rows(tmp_path, monkeypatch):
         }
 
 
+def test_cli_repro_reruns_the_rows_own_objects(tmp_path, monkeypatch, capsys):
+    # With x2*x3 dropped from I, reg R/I of (4,2,1) reads 2, not 1.  The
+    # repro must print that same oracle: it builds I^s as the sweep does.
+    real = verify_mod.ideal_power
+
+    def short(ideal, s, **kwargs):
+        gens = real(ideal, s, **kwargs).generators
+        return MonomialIdeal(ideal.ambient, gens[:1] + gens[2:])
+
+    monkeypatch.setattr(verify_mod, "ideal_power", short)
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    cfg = tiny_config(tmp_path / "cache", n_min=4, n_max=4, s_max=1)
+    row = next(r for r in run_sweep(cfg).rows if r.quantity == "reg")
+    assert (row.status, row.formula, row.oracle) == ("fail", 1, 2)
+    assert main(shlex.split(row.repro)[1:] + ["--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["oracle"] == row.oracle
+
+
 def test_parallel_sweep_matches_serial(tmp_path):
     serial = run_sweep(tiny_config(tmp_path / "c1"))
     parallel = run_sweep(tiny_config(tmp_path / "c2", jobs=2))
@@ -274,6 +292,30 @@ def test_parallel_sweep_matches_serial(tmp_path):
     # jobs and cache_dir stay in the full report, for --config replay
     config = json.loads(parallel.to_json())["config"]
     assert (config["jobs"], config["cache_dir"]) == (2, str(tmp_path / "c2"))
+
+
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InProcessPool)
+    cfg = tiny_config(tmp_path / "cache", n_max=3, s_max=1, jobs=64)
+    assert len(sweep_cells(cfg)) == 2
+    report = run_sweep(cfg)
+    assert asked == [2]
+    assert report.config["jobs"] == 64  # the report keeps what was asked for
 
 
 def test_sweep_reads_each_table_once_per_cell(tmp_path, monkeypatch):
@@ -986,6 +1028,26 @@ def test_cli_env_cache_dir(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert (tmp_path / "env-cache").is_dir()
     assert list((tmp_path / "env-cache").glob("*.json"))
+
+
+def test_cli_check_of_a_large_power_fits_in_600_mib():
+    # I_2(L_30)^4 has 35,960 generators, so one q x q colon mask would take
+    # 1.2 GiB.  The address-space limit is set in the child only, and one
+    # BLAS thread keeps its reservation the same on any machine.
+    script = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)); "
+        "from pathideal.cli import main; "
+        "sys.exit(main(['check', '--n', '30', '--t', '2', '--power', '4']))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "linear quotients: no (position 4, offender x1*x2)"
+    assert lines[1] == "quasi-linear: no"
 
 
 def test_cli_broken_pipe_exits_quietly():
