@@ -20,7 +20,6 @@ from .monomials import (
     MonomialIdeal,
     _colon_of_rows,
     _exponent_matrix,
-    _ideal_of_rows,
     mono_pow,
 )
 from .path_ideals import Composition, PathIdealSpec, line_graph_generators
@@ -133,6 +132,16 @@ def _colon_steps(E: np.ndarray, keep: np.ufunc, start: int = 0):
             yield lo + b, held, Q[b][uncovered[b]] if failed[b] else None
 
 
+def _least_row(rows: np.ndarray) -> Monomial:
+    """The lexicographically least row of an exponent matrix, as a Monomial.
+
+    It is the first minimal generator of the ideal the rows generate: a
+    proper divisor of a row is lexicographically smaller than it, so the
+    least row has no divisor among the rows.
+    """
+    return Monomial(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
+
+
 def linear_quotients_check(
     spec: PathIdealSpec, pairs: list[tuple[Composition, Monomial]]
 ) -> QuotientCertificate | QuotientFailure:
@@ -154,7 +163,7 @@ def linear_quotients_check(
     for m, held, uncovered in _colon_steps(E, np.less, start=1):  # rows i < m
         if uncovered is not None:
             # the colon's first minimal generator of degree other than 1
-            offender = _ideal_of_rows(uncovered, spec.n).generators[0]
+            offender = _least_row(uncovered)
             return QuotientFailure(m + 1, ordered[m], offender)
         found = frozenset(j + 1 for j, h in enumerate(held) if h)
         if check_closed_form:
@@ -184,7 +193,7 @@ def quasi_linear_check(ideal: MonomialIdeal) -> QuasiLinearResult:
     E = _exponent_matrix(ideal.generators, ideal.ambient)
     for u, _, uncovered in _colon_steps(E, np.not_equal):
         if uncovered is not None:
-            offender = _ideal_of_rows(uncovered, ideal.ambient).generators[0]
+            offender = _least_row(uncovered)
             return QuasiLinearResult(False, (ideal.generators[u], offender))
     return QuasiLinearResult(True, None)
 

@@ -63,14 +63,18 @@ _MAX_SUPPORT = 24
 # and facet chunks take _CHUNK_BYTES // (q * n * 8) multidegrees.  A lattice
 # chunk joins or tests each of its unary codes against the q generator codes,
 # one uint32 or int64 each (more as Python ints, past 63 bits), so it holds
-# at most a 1/n share of the budget.  A facet chunk holds, per (multidegree,
-# generator), a uint32 facet and 6 bytes of scratch; a batch of it adds a
-# uint32 copy and flat index, which numpy widens to intp as it scatters: 26
-# bytes in all, within the 8 * n of the budget once n >= 4.  A batch of face
-# indicators holds at most _CHUNK_BYTES / 4 bytes, rows of max(8, 2^k) bytes
-# for its widest support size k, so that with the copy of its complexes that
-# are not cones and the scratch array of the same size that its closure and
-# homology add, it stays within.
+# at most a 1/n share of the budget.  A facet chunk tests each (multidegree,
+# generator) on their codes, a code and a flag each.  Each pair of them that
+# divides then holds its row, generator and facet as uint32 and, at any one
+# time, 3n bytes of gathered columns for exponents below 256 (two exponent
+# rows and their comparison, or the comparison and the bit ranks) and one
+# uint32 column: 16 + 3n bytes a pair, within the 8 * n of the budget once
+# n >= 4.  A batch of the chunk adds a uint32 copy and flat index per pair,
+# which numpy widens to intp as it scatters.  A batch of face indicators
+# holds at most _CHUNK_BYTES / 4 bytes, rows of max(8, 2^k) bytes for its
+# widest support size k, so that with the copy of its complexes that are not
+# cones and the scratch array of the same size that its closure and homology
+# add, it stays within.
 
 # Support sizes whose face indicators, padded to the widest of them, fit in
 # _MERGE_BYTES share one batch.  Every batch costs about 0.2 ms of numpy
@@ -208,15 +212,18 @@ _WITHOUT_VERTEX = tuple(
 _BYTES = np.uint64(0x0101010101010101)
 
 
-def _facet_masks(G: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Facets of the upper Koszul complexes K^b, one row per multidegree b.
+def _facet_pairs(G: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Facets of the upper Koszul complexes K^b, one per generator dividing x^b.
 
     K^b is generated by one facet per generator g dividing x^b, the support
-    positions j with g_j < b_j.  Returns (facets, inside).  Entry (b, g) of
-    the uint32 facets is that facet as a bitmask over the support of b, bit
-    i standing for its i-th position, or the empty face 0 when g does not
-    divide x^b.  inside[b] says whether some generator divides x^b, that is
-    whether K^b has the empty face; without it K^b is void.
+    positions j with g_j < b_j.  Returns (row, facet), both uint32: for
+    each pair of a row b of lat and a generator g dividing x^b, in row
+    order, the row's index and that facet as a bitmask over the support of
+    b, bit i standing for its i-th position.  A row with no pair has a void
+    K^b.  The pairs are found on the unary codes of the walk (_unary_codes),
+    by one and-not each; only their facets are computed, from the columns
+    they gather in the exponents' own dtype.  Each column's bit is shifted
+    into place on its own, so the (pair, column) temporaries take a byte each.
     """
     on = lat > 0
     k = int(np.count_nonzero(on, axis=1).max(initial=0))
@@ -225,40 +232,43 @@ def _facet_masks(G: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray
             f"support size {k} exceeds face-enumeration limit {_MAX_SUPPORT}",
             count=k,
         )
-    rank = np.cumsum(on, axis=1, dtype=np.uint32) - on  # support positions before j
-    shape = (lat.shape[0], G.shape[0])
-    facets = np.zeros(shape, dtype=np.uint32)
-    above = np.zeros(shape, dtype=bool)  # some g_j > b_j: g does not divide
-    test = np.empty(shape, dtype=bool)
-    bit = np.empty(shape, dtype=np.uint32)
-    for j in range(G.shape[1]):
-        g, b = G[:, j], lat[:, j, None]
-        above |= np.greater(g, b, out=test)
-        np.left_shift(np.less(g, b, out=test), rank[:, j, None], out=bit)
-        facets |= bit
-    np.copyto(facets, np.uint32(0), where=above)
-    return facets, ~above.all(axis=1)
+    q = G.shape[0]
+    w = max(1, int(G.max(initial=0)), int(lat.max(initial=0)))
+    codes = _unary_codes(np.concatenate((G, lat)), w)
+    gens, rows = codes[:q], codes[q:]
+    divides = np.flatnonzero((gens & ~rows[:, None]) == 0).astype(np.uint32)
+    row, gen = np.divmod(divides, np.uint32(q))
+    rank = np.cumsum(on, axis=1, dtype=np.uint8) - on  # support positions before j
+    below = np.take(G, gen, axis=0) < np.take(lat, row, axis=0)
+    ranks = np.take(rank, row, axis=0)
+    # The columns' bits are distinct, so or-ing them sums them.
+    facets = np.zeros(row.size, dtype=np.uint32)
+    for j in range(lat.shape[1]):
+        facets |= np.left_shift(below[:, j], ranks[:, j], dtype=np.uint32)
+    return row, facets
 
 
-def _face_indicators(facets: np.ndarray, inside: np.ndarray, k: int) -> np.ndarray:
+def _face_indicators(
+    rows: int, row: np.ndarray, facets: np.ndarray, k: int
+) -> np.ndarray:
     """Boolean (rows, max(8, 2^k)) array: row r marks the faces of one complex.
 
-    The complex of row r is the down-closure of the facets in facets[r],
-    uint32 bitmasks over k vertices, or void when inside[r] is false.  Rows
-    are whole 64-bit words of faces; the vertices added for k < 3, and
-    those above a row's own support in a batch padded to a wider one, lie in
-    no face.  The facets are marked through one flat index, then closed
-    downwards one vertex v at a time on the word view, 8 faces a word: for
-    v < 3 the face sigma + v is in the word of sigma, 8 << v bits higher;
-    for larger v it is 2^(v-3) words further on.  The flat index is uint32,
-    so a batch holds fewer than 2^32 faces; _koszul_batches' hold 2^24 at
-    most.
+    The complex of row r is the down-closure of the facets[i] with
+    row[i] == r, uint32 bitmasks over k vertices; a row with no facet is
+    void.  Every facet holds the empty face, so the closure marks it in
+    every row that has a facet.  Rows are whole 64-bit words of faces; the
+    vertices added for k < 3, and those above a row's own support in a
+    batch padded to a wider one, lie in no face.  The facets are marked
+    through one flat index, then closed downwards one vertex v at a time on
+    the word view, 8 faces a word: for v < 3 the face sigma + v is in the
+    word of sigma, 8 << v bits higher; for larger v it is 2^(v-3) words
+    further on.  The flat index is uint32, so a batch holds fewer than 2^32
+    faces; _koszul_batches' hold 2^24 at most.
     """
-    rows = facets.shape[0]
     width = max(8, 1 << k)
     ind = np.zeros((rows, width), dtype=bool)
-    at = np.arange(rows, dtype=np.uint32)[:, None] * np.uint32(width)
-    ind.reshape(-1)[(facets + at).reshape(-1)] = True
+    at = row.astype(np.uint32, copy=False) * np.uint32(width) + facets
+    ind.reshape(-1)[at] = True
     words = ind.view("<u8")
     above = np.empty_like(words)
     for v in range(min(k, 3)):
@@ -268,46 +278,45 @@ def _face_indicators(facets: np.ndarray, inside: np.ndarray, k: int) -> np.ndarr
     for v in range(3, k):
         pairs = words.reshape(rows, 1 << (k - 1 - v), 2, 1 << (v - 3))
         pairs[:, :, 0] |= pairs[:, :, 1]
-    ind[:, 0] = inside
     return ind
 
 
 def _batch_rows(ks: np.ndarray):
-    """Yield (rows, k): the indices of one batch and the widest support size in it.
+    """Yield (lo, hi, k): one batch, the rows lo..hi-1, and its widest support size.
 
-    ks holds the support size of each row.  Sizes are taken in ascending
-    order, and consecutive ones share a batch while its rows, each
-    max(8, 2^k) bytes at its widest k, fit in _MERGE_BYTES.  A size whose
-    rows alone do not fit is cut into batches of its own, of at most
-    _CHUNK_BYTES / 4 bytes each.
+    ks holds the support size of each row, in ascending order.  Consecutive
+    sizes share a batch while its rows, each max(8, 2^k) bytes at its
+    widest k, fit in _MERGE_BYTES.  A size whose rows alone do not fit is
+    cut into batches of its own, of at most _CHUNK_BYTES / 4 bytes each.
     """
     floor = min(_MERGE_BYTES, _CHUNK_BYTES >> 2)
-    held: list[np.ndarray] = []
-    count = top = 0
-    for k in _unique(ks).tolist():
-        rows = np.flatnonzero(ks == k)
+    starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
+    held = top = None  # the first row of the batch being merged, its size
+    for lo, hi in zip(starts, starts[1:] + [ks.size]):
+        k = int(ks[lo])
         width = max(8, 1 << k)
-        if held and (count + rows.size) * width > floor:
-            yield np.concatenate(held), top
-            held, count = [], 0
-        if rows.size * width <= floor:
-            held.append(rows)
-            count, top = count + rows.size, k
+        if held is not None and (hi - held) * width > floor:
+            yield held, lo, top
+            held = None
+        if (hi - lo) * width <= floor:
+            held, top = lo if held is None else held, k
             continue
         per = max(1, (_CHUNK_BYTES >> 2) // width)
-        for at in range(0, rows.size, per):
-            yield rows[at : at + per], k
-    if held:
-        yield np.concatenate(held), top
+        for at in range(lo, hi, per):
+            yield at, min(at + per, hi), k
+    if held is not None:
+        yield held, ks.size, top
 
 
 def _koszul_batches(G: np.ndarray, lat: np.ndarray):
     """Yield (b, ind): face indicators of K^b for b in the rows of lat.
 
-    A batch is padded to its widest support size k (_batch_rows).  The
-    vertices above a row's own support lie in no face, so they are never a
-    cone point, never matched and never critical, and the batch settles
-    each complex as one of its own size would.
+    Each chunk of lat is sorted by support size, stably, so that a batch
+    is a slice of it (_batch_rows), and so are its facet pairs.  A batch is
+    padded to its widest support size k.  The vertices above a row's own
+    support lie in no face, so they are never a cone point, never matched
+    and never critical, and the batch settles each complex as one of its
+    own size would.
     """
     # Exponents compare in the narrowest type that holds them.
     small = np.min_scalar_type(max(int(G.max(initial=0)), int(lat.max(initial=0))))
@@ -316,9 +325,13 @@ def _koszul_batches(G: np.ndarray, lat: np.ndarray):
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
     for lo in range(0, lat.shape[0], step):
         part = lat[lo : lo + step].astype(small)
-        facets, inside = _facet_masks(G, part)
-        for batch, k in _batch_rows(np.count_nonzero(part, axis=1)):
-            yield part[batch], _face_indicators(facets[batch], inside[batch], k)
+        ks = np.count_nonzero(part, axis=1)
+        order = np.argsort(ks, kind="stable")
+        part, ks = part[order], ks[order]
+        row, facets = _facet_pairs(G, part)
+        for a, b, k in _batch_rows(ks):
+            i, j = np.searchsorted(row, (a, b))
+            yield part[a:b], _face_indicators(b - a, row[i:j] - a, facets[i:j], k)
 
 
 def _faces_per_word(words: np.ndarray, mask: np.uint64, out: np.ndarray) -> np.ndarray:
@@ -446,20 +459,56 @@ def _unique(codes: np.ndarray) -> np.ndarray:
     return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
 
 
+def _unary_fields(n: int, w: int):
+    """(code, shifts): the scalar type of n unary fields w bits wide, their shifts.
+
+    x1's field is the highest.  Codes are uint32 when n * w <= 32, int64
+    when n * w < 64 and Python ints (dtype object) otherwise; np.object_(x)
+    is x itself.
+    """
+    dtype = np.uint32 if n * w <= 32 else np.int64 if n * w < 64 else object
+    shifts = np.array([w * (n - 1 - j) for j in range(n)], dtype=dtype)
+    return np.dtype(dtype).type, shifts
+
+
+def _unary_codes(rows: np.ndarray, w: int) -> np.ndarray:
+    """The unary codes of the rows of an exponent matrix, fields w bits wide."""
+    code, shifts = _unary_fields(rows.shape[1], w)
+    field = code((1 << w) - 1)
+    return ((field >> (code(w) - rows.astype(shifts.dtype))) << shifts).sum(
+        axis=1, dtype=shifts.dtype
+    )
+
+
+def _not_full(codes: np.ndarray, gens: np.ndarray, low, step: int) -> np.ndarray:
+    """The codes b whose K^b is not the full simplex on supp b, in their order.
+
+    Those are b = 0 and the b for which no generator code divides the code
+    (b >> 1) & low of x^b / x^supp(b); step codes are tested at a time.
+    """
+    keep = np.empty(codes.size, dtype=bool)
+    one = codes.dtype.type(1)
+    for lo in range(0, codes.size, step):
+        part = codes[lo : lo + step]
+        topped = (part[:, None] >> one) & low  # x^b / x^supp(b)
+        keep[lo : lo + step] = (part == 0) | ((gens & ~topped) != 0).all(axis=1)
+    return codes[keep]
+
+
 def _lcm_lattice_encoded(
     G: np.ndarray, cap: int, prune: bool = False, anchored: bool = False
 ) -> np.ndarray:
     """The lcm lattice of the generator rows of G, as rows in lex order.
 
-    Rows are coded in unary: field j holds b_j low set bits, every field is
-    w = max G bits wide, and x1 has the highest field, so the order of codes
-    is the order of rows.  The join with a generator is a bitwise or, g
-    divides x^b iff code(g) & ~code(b) == 0, and (code >> 1) & low, where
-    low clears the top bit of every field, codes x^b / x^supp(b).  Codes are
-    uint32 when n * w <= 32, int64 when n * w < 64 and Python ints (dtype
-    object) otherwise; every scalar they meet has their type, so no
+    Rows are coded in unary (_unary_codes): field j holds b_j low set bits,
+    every field is w = max G bits wide, and x1 has the highest field, so
+    the order of codes is the order of rows.  The join with a generator is
+    a bitwise or, g divides x^b iff code(g) & ~code(b) == 0, and
+    (code >> 1) & low, where low clears the top bit of every field, codes
+    x^b / x^supp(b).  Every scalar the codes meet has their type, so no
     promotion widens them.  Each round joins the newest points with every
-    generator, a chunk of rows at a time.
+    generator, a chunk of rows at a time; seen holds every code met so far,
+    so no code is joined or tested twice.
 
     With prune, a point b != 0 whose K^b is the full simplex on supp b (some
     generator divides x^b / x^supp(b)) is dropped as soon as it appears and
@@ -476,44 +525,38 @@ def _lcm_lattice_encoded(
     """
     q, n = G.shape
     w = max(1, int(G.max(initial=0)))
-    dtype = np.uint32 if n * w <= 32 else np.int64 if n * w < 64 else object
-    code = np.dtype(dtype).type  # np.object_(x) is x itself
-    shifts = np.array([w * (n - 1 - j) for j in range(n)], dtype=dtype)
+    code, shifts = _unary_fields(n, w)
     field = code((1 << w) - 1)
     low = code(sum((int(field) >> 1) << int(s) for s in shifts))
     ones = code(sum(1 << int(s) for s in shifts))
-    gens = ((field >> (code(w) - G.astype(dtype))) << shifts).sum(axis=1, dtype=dtype)
+    gens = _unary_codes(G, w)
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
-
-    def kept(codes):
-        if not prune:
-            return codes
-        keep = np.empty(codes.size, dtype=bool)
-        for lo in range(0, codes.size, step):
-            part = codes[lo : lo + step]
-            topped = (part[:, None] >> code(1)) & low  # x^b / x^supp(b)
-            keep[lo : lo + step] = (part == 0) | ((gens & ~topped) != 0).all(axis=1)
-        return codes[keep]
-
-    frontier = kept(_unique(gens[G[:, 0] > 0] if anchored else gens))
-    seen = frontier[:0]
+    seen = _unique(gens[G[:, 0] > 0] if anchored else gens)
+    frontier = _not_full(seen, gens, low, step) if prune else seen
+    kept, count = [frontier], frontier.size
     while frontier.size:
-        seen = np.insert(seen, np.searchsorted(seen, frontier), frontier)
-        if seen.size > cap:
+        if count > cap:
             raise SizeCapExceededError(
-                f"lcm lattice exceeded cap {cap} (reached {seen.size})",
-                count=int(seen.size),
+                f"lcm lattice exceeded cap {cap} (reached {count})", count=count
             )
         fresh = []
         for lo in range(0, frontier.size, step):
             codes = _unique(frontier[lo : lo + step, None] | gens)
             pos = np.minimum(np.searchsorted(seen, codes), seen.size - 1)
             fresh.append(codes[seen[pos] != codes])
-        frontier = kept(_unique(np.concatenate(fresh)))
+        # One chunk's codes are already distinct and sorted.
+        tested = fresh[0] if len(fresh) == 1 else _unique(np.concatenate(fresh))
+        # A stable sort merges the two sorted runs in linear time.
+        seen = np.concatenate((seen, tested))
+        seen.sort(kind="stable")
+        frontier = _not_full(tested, gens, low, step) if prune else tested
+        kept.append(frontier)
+        count += frontier.size
+    points = np.sort(np.concatenate(kept))
     # b_j is the number of set bits in field j.  Adding (code >> i) & ones
     # over i < w counts them into the bottom of each field; a count is at
     # most w < 2^w, so it never carries into the next field.
-    counts = sum(((seen >> code(i)) & ones for i in range(w)), code(0))
+    counts = sum(((points >> code(i)) & ones for i in range(w)), code(0))
     return ((counts[:, None] >> shifts) & field).astype(np.int64)
 
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from pathideal.errors import ColonFormMismatchError
@@ -12,8 +15,9 @@ from pathideal.linearity import (
     linear_quotients_check,
     quasi_linear_check,
     quasi_linear_witness,
+    _least_row,
 )
-from pathideal.monomials import minimalize
+from pathideal.monomials import _ideal_of_rows, minimalize
 from pathideal.path_ideals import (
     Composition,
     PathIdealSpec,
@@ -182,3 +186,20 @@ def test_witness_agrees_with_general_scan():
         res = quasi_linear_check(power(n, t, s))
         assert not res.is_quasi_linear
         assert res.witness[0] == br.excluded
+
+
+def test_least_row_is_the_first_minimal_generator():
+    rng = random.Random(41)
+    for _ in range(300):
+        ambient = rng.randint(1, 6)
+        count = rng.randint(1, 12)
+        rows = np.array(
+            [[rng.randint(0, 3) for _ in range(ambient)] for _ in range(count)],
+            dtype=np.int64,
+        )
+        if count > 2 and rng.random() < 0.5:
+            rows[rng.randrange(1, count)] = rows[0]  # a duplicate row
+        assert _least_row(rows) == _ideal_of_rows(rows, ambient).generators[0]
+    # A single row, and rows that only differ in the last column.
+    assert _least_row(np.array([[2, 0, 1]])) == m("x1^2*x3", 3)
+    assert _least_row(np.array([[1, 1, 2], [1, 1, 1], [1, 1, 1]])) == m("x1*x2*x3", 3)

@@ -24,7 +24,7 @@ from pathideal.oracle import (
     _batch_homology,
     _critical_counts,
     _face_indicators,
-    _facet_masks,
+    _facet_pairs,
     _lcm_lattice_encoded,
     _shift_closed,
     _unique,
@@ -69,7 +69,8 @@ def koszul_by_fast_path(i: MonomialIdeal, b: Monomial) -> set[tuple[int, ...]]:
     """The faces of K^b as betti_table builds them, with 1-based labels."""
     G = np.array([g.exponents for g in i.generators], dtype=np.int64)
     labels = [j + 1 for j, e in enumerate(b.exponents) if e]
-    ind = _face_indicators(*_facet_masks(G, np.array([b.exponents])), len(labels))[0]
+    row, facets = _facet_pairs(G, np.array([b.exponents]))
+    ind = _face_indicators(1, row, facets, len(labels))[0]
     return {
         tuple(v for j, v in enumerate(labels) if face >> j & 1)
         for face in np.flatnonzero(ind).tolist()
@@ -246,7 +247,25 @@ def test_upper_koszul_matches_definition_on_random_ideals(gens, b):
     )
 
 
-def test_facet_masks_match_the_definition_at_support_24():
+def facet_pairs_by_definition(G, lat) -> list[tuple[int, int]]:
+    """(row, facet) for each row b of lat and generator g dividing x^b, in order."""
+    pairs = []
+    for r, b in enumerate(lat):
+        support = [j for j, e in enumerate(b) if e]
+        for g in G:
+            if all(x <= e for x, e in zip(g, b)):
+                facet = sum(1 << i for i, j in enumerate(support) if g[j] < b[j])
+                pairs.append((r, facet))
+    return pairs
+
+
+def facet_pairs(G, lat) -> list[tuple[int, int]]:
+    row, facets = _facet_pairs(np.asarray(G), np.asarray(lat))
+    assert row.dtype == facets.dtype == np.uint32
+    return list(zip(row.tolist(), facets.tolist()))
+
+
+def test_facet_pairs_match_the_definition_at_support_24():
     rng = random.Random(24)
     n = 27
     lat = [[rng.randint(1, 3) for _ in range(n)] for _ in range(6)]
@@ -264,41 +283,89 @@ def test_facet_masks_match_the_definition_at_support_24():
     # The generator below lat[0] everywhere but its last support position.
     last = max(j for j in range(n) if lat[0][j])
     G.append([e if j == last else max(e - 1, 0) for j, e in enumerate(lat[0])])
-    facets, inside = _facet_masks(np.array(G, dtype=np.uint8), np.array(lat, dtype=np.uint8))
-    assert facets.dtype == np.uint32
-    for r, b in enumerate(lat):
-        support = [j for j in range(n) if b[j]]
-        assert len(support) == 24
-        divides = [all(g[j] <= b[j] for j in range(n)) for g in G]
-        assert inside[r] == any(divides)
-        assert facets[r].tolist() == [
-            sum(1 << i for i, j in enumerate(support) if g[j] < b[j]) if d else 0
-            for g, d in zip(G, divides)
+    got = facet_pairs(np.array(G, dtype=np.uint8), np.array(lat, dtype=np.uint8))
+    assert all(len([j for j in range(n) if b[j]]) == 24 for b in lat)
+    assert got == facet_pairs_by_definition(G, lat)
+    # Rows 0..4 have pairs; no generator divides the last row.
+    assert sorted({r for r, _ in got}) == [0, 1, 2, 3, 4]
+    assert got[[r for r, _ in got].index(1) - 1] == (0, (1 << 24) - 1 - (1 << 23))
+    assert max(f for _, f in got) >> 23 == 1
+    # One more support position is refused before any facet is built.
+    wide = np.array([[1] * 25 + [0, 0]], dtype=np.uint8)
+    with pytest.raises(SizeCapExceededError) as refused:
+        _facet_pairs(np.array(G, dtype=np.uint8), wide)
+    assert refused.value.count == 25
+
+
+@pytest.mark.parametrize(
+    "ambient, top, dtype",
+    [(8, 4, np.uint32), (9, 4, np.int64), (21, 3, np.int64),
+     (16, 4, object), (64, 1, object)],
+)
+def test_facet_pairs_match_the_definition_in_every_code_type(
+    monkeypatch, ambient, top, dtype
+):
+    # The pairs come from unary codes of ambient * top bits: uint32 up to
+    # 32, int64 below 64 and Python ints from 64 on.
+    dtypes, unary = set(), oracle_mod._unary_codes
+
+    def spy(rows, w):
+        dtypes.add(unary(rows, w).dtype)
+        return unary(rows, w)
+
+    monkeypatch.setattr(oracle_mod, "_unary_codes", spy)
+    rng = random.Random(ambient * top)
+    for count in range(1, 7):
+        i = random_ideal(rng, ambient, top, count)
+        G = [g.exponents for g in i.generators]
+        lat = pruned_walk(i)[:60] + [
+            tuple(rng.choice((0, 0, 0, rng.randint(1, top))) for _ in range(ambient))
+            for _ in range(20)
         ]
-    assert inside.tolist() == [True] * 5 + [False]
-    assert facets[0, -1] == (1 << 24) - 1 - (1 << 23)
-    assert int(facets.max()) >> 23 == 1
+        lat = [b for b in lat if np.count_nonzero(b) <= oracle_mod._MAX_SUPPORT]
+        assert facet_pairs(G, lat) == facet_pairs_by_definition(G, lat)
+    assert dtypes == {np.dtype(dtype)}
+
+
+def test_facet_pairs_on_zero_columns_and_the_unit_ideal():
+    # x2 and x4 appear in no generator and no lattice point.
+    i = ideal(["x1^2*x3", "x1*x3^3*x5", "x5^2", "x1^3"], 5)
+    G = [g.exponents for g in i.generators]
+    lat = pruned_walk(i) + [(0,) * 5, (1, 0, 1, 0, 0)]
+    got = facet_pairs(G, lat)
+    assert got == facet_pairs_by_definition(G, lat)
+    # (0, ..., 0) and x1*x3 are outside I: they have no pair.
+    assert {r for r, _ in got} == set(range(len(lat) - 2))
+    # The unit ideal: its one generator divides everything, with the full facet.
+    for ambient in (1, 3):
+        lat = [(0,) * ambient, (2,) + (0,) * (ambient - 1), (1,) * ambient]
+        got = facet_pairs([(0,) * ambient], lat)
+        assert got == [(0, 0), (1, 1), (2, (1 << ambient) - 1)]
 
 
 def test_face_indicators_close_the_facets_downwards():
     rng = random.Random(8)
     for k in range(11):
         rows, q = 5, 4
-        facets = np.array(
-            [[rng.randrange(1 << k) for _ in range(q)] for _ in range(rows)], dtype=np.uint32
-        )
-        facets[1, 1:] = 0  # one facet; the rest are the empty face
-        inside = np.ones(rows, dtype=bool)
-        inside[3] = False  # no generator divides: the void complex
-        facets[3] = 0
-        ind = _face_indicators(facets, inside, k)
+        facets = [[rng.randrange(1 << k) for _ in range(q)] for _ in range(rows)]
+        facets[1] = facets[1][:1]  # one facet
+        facets[3] = []  # no generator divides: the void complex
+        facets[4] = [0] * q  # only the empty face
+        row = np.array([r for r in range(rows) for _ in facets[r]])
+        flat = np.array([f for fs in facets for f in fs], dtype=np.uint32)
+        ind = _face_indicators(rows, row, flat, k)
         assert ind.shape == (rows, max(8, 1 << k)) and ind.dtype == bool
         for r in range(rows):
             want = [
-                bool(inside[r]) and f < 1 << k and any(f & ~int(F) == 0 for F in facets[r])
+                f < 1 << k and any(f & ~F == 0 for F in facets[r])
                 for f in range(ind.shape[1])
             ]
             assert ind[r].tolist() == want
+        assert not ind[3].any()
+        assert ind[4].tolist() == [True] + [False] * (ind.shape[1] - 1)
+    # No pairs at all: every row is void.
+    none = _face_indicators(3, np.array([], dtype=np.intp), np.array([], np.uint32), 4)
+    assert none.shape == (3, 16) and not none.any()
 
 
 # ---------------------------------------------------------------- batched homology
@@ -390,8 +457,11 @@ def test_batch_rows_merge_small_sizes_and_cut_large_ones(monkeypatch):
     monkeypatch.setattr(oracle_mod, "_MERGE_BYTES", 1 << 9)
     sizes = {0: 5, 3: 10, 5: 12, 6: 3, 7: 20, 9: 1}
     ks = np.array([k for k, count in sizes.items() for _ in range(count)])
-    np.random.default_rng(4).shuffle(ks)
-    got = [(sorted(ks[rows].tolist()), k) for rows, k in oracle_mod._batch_rows(ks)]
+    batches = list(oracle_mod._batch_rows(ks))
+    # Consecutive slices that cover the rows.
+    assert [lo for lo, _, _ in batches] == [0] + [hi for _, hi, _ in batches[:-1]]
+    assert batches[-1][1] == ks.size
+    got = [(ks[lo:hi].tolist(), k) for lo, hi, k in batches]
     assert got == [
         ([0] * 5 + [3] * 10, 3),  # 15 rows of 8 B
         ([5] * 12, 5),  # 384 B: with the 3 rows of size 6, 960 B > 512 B
@@ -402,17 +472,17 @@ def test_batch_rows_merge_small_sizes_and_cut_large_ones(monkeypatch):
         ([9], 9),  # 512 B fit, alone
     ]
     monkeypatch.setattr(oracle_mod, "_MERGE_BYTES", 0)
-    assert [k for _, k in oracle_mod._batch_rows(ks)] == [0, 3, 5, 6, 7, 7, 7, 9]
+    assert [k for _, _, k in oracle_mod._batch_rows(ks)] == [0, 3, 5, 6, 7, 7, 7, 9]
     assert list(oracle_mod._batch_rows(ks[:0])) == []
 
 
 def face_indicator_spy(monkeypatch) -> list:
-    """Record (facets, inside, k) of every _face_indicators call."""
+    """Record (row, facets, k) of every _face_indicators call."""
     calls = []
 
-    def spy(facets, inside, k):
-        calls.append((facets, inside, k))
-        return _face_indicators(facets, inside, k)
+    def spy(rows, row, facets, k):
+        calls.append((row, facets, k))
+        return _face_indicators(rows, row, facets, k)
 
     monkeypatch.setattr(oracle_mod, "_face_indicators", spy)
     return calls
@@ -436,7 +506,7 @@ def test_koszul_batches_pad_rows_without_adding_faces(monkeypatch, floor):
     rows = np.concatenate([part for part, _ in batches])
     assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, lat.tolist()))
     mixed = 0
-    for (part, ind), (facets, inside, k) in zip(batches, calls):
+    for (part, ind), (row, facets, k) in zip(batches, calls):
         sizes = np.count_nonzero(part, axis=1)
         width = max(8, 1 << k)
         assert int(sizes.max()) == k and ind.shape == (len(part), width)
@@ -446,10 +516,13 @@ def test_koszul_batches_pad_rows_without_adding_faces(monkeypatch, floor):
         if sizes.min() < k:
             mixed += 1
             assert len(part) * width <= oracle_mod._MERGE_BYTES
+        # A chunk's rows are sorted by support size, so a batch is a slice.
+        assert sizes.tolist() == sorted(sizes.tolist())
         for r, size in enumerate(sizes.tolist()):
             # No face outside the row's own support, the same faces within it.
             assert not ind[r, 1 << size :].any()
-            alone = _face_indicators(facets[r : r + 1], inside[r : r + 1], size)[0]
+            mine = row == r
+            alone = _face_indicators(1, row[mine] - r, facets[mine], size)[0]
             assert ind[r, : 1 << size].tolist() == alone[: 1 << size].tolist()
     assert len(batches) == {"default": 4, 0: 8, "chunk": 1}[floor]
     assert mixed == (floor != 0)
@@ -603,6 +676,53 @@ def test_pruned_walk_on_a_wide_ideal_uses_python_int_codes():
         # n * w >= 64 bits, w = max exponent: the codes are Python ints.
         assert ambient * max(max(g.exponents) for g in i.generators) >= 64
         assert pruned_walk(i) == non_full_lattice(i)
+
+
+def fullness_spy(monkeypatch) -> list:
+    """Record the codes of every _not_full call, the walk's fullness test."""
+    calls, real = [], oracle_mod._not_full
+
+    def spy(codes, *args):
+        calls.append(codes.tolist())
+        return real(codes, *args)
+
+    monkeypatch.setattr(oracle_mod, "_not_full", spy)
+    return calls
+
+
+def augmented(n: int, t: int, s: int, j: int) -> MonomialIdeal:
+    """I^s + (u_j, ..., u_{n-t+1}), the sweep's ideal that is not shift-closed."""
+    lines = [u.exponents for u in line_graph_generators(PathIdealSpec(n, t))]
+    gens = [g.exponents for g in power(n, t, s).generators] + lines[j - 1 :]
+    return minimalize([Monomial(g) for g in gens], ambient=n)
+
+
+def test_pruned_walk_tests_each_code_once(monkeypatch):
+    calls = fullness_spy(monkeypatch)
+    for i, anchored in [(power(8, 2, 4), True), (augmented(8, 2, 3, 4), False)]:
+        gens = [g.exponents for g in i.generators]
+        assert _shift_closed(gens) == anchored
+        calls.clear()
+        G = np.array(gens, dtype=np.int64)
+        lat = _lcm_lattice_encoded(G, 10**6, prune=True, anchored=anchored)
+        tested = [c for codes in calls for c in codes]
+        assert len(tested) == len(set(tested))
+        # Some points were dropped as full simplices, and every kept one was tested.
+        assert len(calls) > 2 and len(lat) < len(tested)
+
+
+def test_walk_cap_counts_kept_points_only(monkeypatch):
+    # (6,2,3) keeps K anchored points and tests more: the cap is met at K.
+    calls = fullness_spy(monkeypatch)
+    i = power(6, 2, 3)
+    G = np.array([g.exponents for g in i.generators], dtype=np.int64)
+    kept = len(_lcm_lattice_encoded(G, 10**6, prune=True, anchored=True))
+    tested = sum(map(len, calls))
+    assert kept < tested
+    assert betti_table(i, lattice_cap=kept) == betti_table(i)
+    with pytest.raises(SizeCapExceededError, match=f"cap {kept - 1} ") as refused:
+        betti_table(i, lattice_cap=kept - 1)
+    assert refused.value.count == kept
 
 
 def test_unary_walk_matches_the_definition_on_random_ideals():
