@@ -222,7 +222,7 @@ def _check_quasi(cell: _CellState) -> tuple[dict, str]:
                               "colon_generator": colon_generator}
         lines.append(f"  witness: colon into {generator} "
                      f"has non-variable generator {colon_generator}")
-    if cell.n >= 2 * cell.t + 1:
+    if cell.t >= 2 and cell.n >= 2 * cell.t + 1:
         w = quasi_linear_witness(cell.spec, cell.pairs())
         excluded = format_monomial(w.excluded)
         colon = [format_monomial(g) for g in w.colon_generators]

@@ -201,7 +201,7 @@ def quasi_linear_check(ideal: MonomialIdeal) -> QuasiLinearResult:
 def quasi_linear_witness(
     spec: PathIdealSpec, pairs: list[tuple[Composition, Monomial]]
 ) -> QuasiLinearBreak:
-    """Build the explicit quasi-linearity breaker for n >= 2t + 1.
+    """Build the explicit quasi-linearity breaker for t >= 2 and n >= 2t + 1.
 
     pairs are the (composition, generator) pairs of the power I^s, as
     power_generators returns them; s is read from their compositions.
@@ -210,8 +210,8 @@ def quasi_linear_witness(
     arises from u_{n-t} * u_{n-t+1}^{s-1}), yet x_{n-t} does not divide
     u_1^s, so the colon cannot be generated by variables.
     """
-    if spec.n < 2 * spec.t + 1:
-        raise ValueError(f"need n >= 2t+1, got n={spec.n}, t={spec.t}")
+    if spec.t < 2 or spec.n < 2 * spec.t + 1:
+        raise ValueError(f"need t >= 2 and n >= 2t+1, got n={spec.n}, t={spec.t}")
     s = pairs[0][0].total
     gens = line_graph_generators(spec)
     alpha = mono_pow(gens[-1], s)

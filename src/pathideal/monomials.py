@@ -38,8 +38,7 @@ __all__ = [
 EXPONENT_CAP = 1 << 16
 
 # Default cap on the number of s-fold generator products enumerated by
-# ideal_power before minimalization, and on the power generators listed by
-# power_generators.
+# ideal_power and power_generators.
 POWER_PRODUCT_CAP = 200_000
 
 # Byte budget for the scratch arrays of one chunk of a numpy pass.
@@ -246,41 +245,54 @@ def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     return _colon_of_rows(_exponent_matrix(ideal.generators, ideal.ambient), m)
 
 
-def ideal_power(
-    ideal: MonomialIdeal, s: int, max_products: int = POWER_PRODUCT_CAP
-) -> MonomialIdeal:
-    """The power I^s via all s-fold generator products, minimalized.
+def _power_products(E: np.ndarray, s: int, max_products: int):
+    """The s-fold products of the rows of E, a chunk at a time within _CHUNK_BYTES.
 
-    Aborts with SizeCapExceededError when the product count would exceed
-    max_products; never truncates silently.  The products are summed as
-    exponent rows, a chunk of index tuples at a time within _CHUNK_BYTES.
+    Yields (counts, rows) per chunk: counts[r, i] is how often row i of E is
+    a factor of product r, and rows[r] = counts[r] @ E.  The factor multisets
+    come in lexicographic order, so their counts are lexicographically
+    decreasing.  Raises SizeCapExceededError when there are more than
+    max_products products, and ExponentOverflowError naming the first
+    partial product whose degree is above EXPONENT_CAP; never truncates.
     """
-    if s < 1:
-        raise ValueError(f"power must be >= 1, got {s}")
-    if ideal.is_zero():
-        return ideal
-    q = len(ideal.generators)
+    q, n = E.shape
     count = math.comb(q + s - 1, s)
     if count > max_products:
         raise SizeCapExceededError(
             f"I^{s} needs {count} products of {q} generators, cap {max_products}",
             count=count,
         )
-    E = _exponent_matrix(ideal.generators, ideal.ambient)
     degrees = E.sum(axis=1)
     combos = itertools.combinations_with_replacement(range(q), s)
-    step = max(1, _CHUNK_BYTES // (8 * s * max(ideal.ambient, 1)))
-    products = []
+    step = max(1, _CHUNK_BYTES // (8 * (s * n + q)))
     while True:
         flat = itertools.chain.from_iterable(itertools.islice(combos, step))
         idx = np.fromiter(flat, dtype=np.intp).reshape(-1, s)
         if not idx.size:
-            break
+            return
         over = np.flatnonzero(degrees[idx].sum(axis=1) > EXPONENT_CAP)
         if s > 1 and over.size:
             # name the first partial product over the cap
             partial = list(itertools.accumulate(degrees[idx[over[0]]].tolist()))
             first = next(d for d in partial[1:] if d > EXPONENT_CAP)
             raise ExponentOverflowError(f"degree {first} above cap {EXPONENT_CAP}")
-        products.append(E[idx].sum(axis=1))
+        cells = idx + q * np.arange(len(idx))[:, None]  # flat (product, factor)
+        counts = np.bincount(cells.ravel(), minlength=len(idx) * q)
+        yield counts.reshape(-1, q), E[idx].sum(axis=1)
+
+
+def ideal_power(
+    ideal: MonomialIdeal, s: int, max_products: int = POWER_PRODUCT_CAP
+) -> MonomialIdeal:
+    """The power I^s via all s-fold generator products, minimalized.
+
+    Aborts with SizeCapExceededError when the product count would exceed
+    max_products; never truncates silently.
+    """
+    if s < 1:
+        raise ValueError(f"power must be >= 1, got {s}")
+    if ideal.is_zero():
+        return ideal
+    E = _exponent_matrix(ideal.generators, ideal.ambient)
+    products = [rows for _, rows in _power_products(E, s, max_products)]
     return _ideal_of_rows(np.concatenate(products), ideal.ambient)

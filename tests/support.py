@@ -6,7 +6,9 @@ object routes are built from.
 
 The object routes are the library's colon, power and linearity algorithms
 as loops over Monomial objects, one colon step and one product at a time,
-against which the exponent-matrix routes of the package are checked.
+against which the exponent-matrix routes of the package are checked.  The
+composition route lists a path ideal's power generators one composition at
+a time, each multiplied out by its own loop.
 
 The reference route computes Betti numbers from the definitions,
 independently of the oracle's kernel: the lcm lattice from all nonempty
@@ -20,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from typing import Iterator
 
 import numpy as np
 
@@ -93,6 +96,50 @@ def ideal(texts: list[str], ambient: int) -> MonomialIdeal:
 def power(n: int, t: int, s: int) -> MonomialIdeal:
     gens = [mono for _, mono in power_generators(PathIdealSpec(n, t), s)]
     return minimalize(gens, ambient=n)
+
+
+def compositions_desc(total: int, k: int) -> Iterator[Composition]:
+    """All compositions of total into k parts, lexicographically decreasing."""
+    if total < 0 or k < 1:
+        raise ValueError(f"bad composition shape total={total}, k={k}")
+
+    parts = [total] + [0] * (k - 1)
+    while True:
+        yield Composition(tuple(parts))
+        # the successor: the last nonzero part but the final one gives one
+        # unit to its right neighbour, which also takes the final part
+        i = k - 2
+        while i >= 0 and not parts[i]:
+            i -= 1
+        if i < 0:
+            return
+        last, parts[-1] = parts[-1], 0
+        parts[i] -= 1
+        parts[i + 1] = last + 1
+
+
+def composition_to_monomial(spec: PathIdealSpec, comp: Composition) -> Monomial:
+    """u_1^{a_1} * ... * u_k^{a_k} for the composition (a_1, ..., a_k)."""
+    k = spec.num_generators
+    if len(comp.parts) != k:
+        raise ValueError(
+            f"composition has {len(comp.parts)} parts, spec needs {k}"
+        )
+    exps = [0] * spec.n
+    for i, a in enumerate(comp.parts):
+        for j in range(i, i + spec.t):
+            exps[j] += a
+    return Monomial(tuple(exps))
+
+
+def power_generators_by_compositions(
+    spec: PathIdealSpec, s: int
+) -> list[tuple[Composition, Monomial]]:
+    """power_generators as a loop over the compositions, one product each."""
+    return [
+        (c, composition_to_monomial(spec, c))
+        for c in compositions_desc(s, spec.num_generators)
+    ]
 
 
 def colon_by_objects(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:

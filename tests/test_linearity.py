@@ -180,6 +180,15 @@ def test_witness_requires_wide_path():
         witness(6, 3, 1)
 
 
+def test_witness_refuses_t_1():
+    # The break is stated for t >= 2: at t = 1, I^s is the s-th power of the
+    # maximal ideal, which is quasi-linear, and the break's facts fail.
+    for n, s in [(3, 1), (5, 2)]:
+        assert quasi_linear_check(power(n, 1, s)).is_quasi_linear
+        with pytest.raises(ValueError, match="t >= 2"):
+            witness(n, 1, s)
+
+
 def test_witness_agrees_with_general_scan():
     for n, t, s in [(7, 3, 1), (9, 4, 1), (7, 2, 2)]:
         br = witness(n, t, s)

@@ -19,13 +19,16 @@ from pathideal.path_ideals import (
     Composition,
     PathIdealSpec,
     composition_count,
-    composition_to_monomial,
-    compositions_desc,
     line_graph_generators,
     path_ideal,
     power_generators,
 )
-from support import m
+from support import (
+    composition_to_monomial,
+    compositions_desc,
+    m,
+    power_generators_by_compositions,
+)
 
 
 # ---------------------------------------------------------------- specs
@@ -85,8 +88,9 @@ def test_generators_are_already_minimal():
 
 
 def test_compositions_desc_exact_order():
-    got = [c.parts for c in compositions_desc(2, 3)]
-    assert got == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    want = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    assert [c.parts for c in compositions_desc(2, 3)] == want
+    assert [c.parts for c, _ in power_generators(PathIdealSpec(5, 3), 2)] == want
 
 
 def test_compositions_count_and_shape():
@@ -120,6 +124,18 @@ def test_composition_to_monomial_anchors():
     assert composition_to_monomial(spec, Composition((0, 0, 0))) == m("1", 5)
     with pytest.raises(ValueError):
         composition_to_monomial(spec, Composition((1, 0)))
+    products = dict(power_generators(spec, 2))
+    assert products[Composition((2, 0, 0))] == m("x1^2*x2^2*x3^2", 5)
+    assert products[Composition((1, 0, 1))] == m("x1*x2*x3^2*x4*x5", 5)
+
+
+def test_power_generators_match_the_composition_route():
+    # order, compositions and monomials, up to 1,820 products a cell
+    for t in range(1, 5):
+        for n in range(t, 14):
+            spec = PathIdealSpec(n, t)
+            for s in range(1, 5):
+                assert power_generators(spec, s) == power_generators_by_compositions(spec, s)
 
 
 # ---------------------------------------------------------------- powers

@@ -27,7 +27,7 @@ from pathideal.cache import (
 )
 from pathideal.cli import _sweep_config, build_parser, main
 from pathideal.errors import ColonFormMismatchError, PathIdealError
-from pathideal.monomials import MonomialIdeal, minimalize
+from pathideal.monomials import minimalize
 from pathideal.oracle import GF2, BettiTable, FieldSpec
 from pathideal.path_ideals import composition_count
 from pathideal.verify import (
@@ -223,7 +223,8 @@ def test_warm_default_sweep_builds_each_cells_power_generators_once(tmp_path, mo
     modules = [mod for name, mod in sorted(sys.modules.items())
                if name == "pathideal" or name.startswith("pathideal.")]
     for owner, name in [("pathideal.path_ideals", "power_generators"),
-                        ("pathideal.monomials", "minimalize")]:
+                        ("pathideal.monomials", "minimalize"),
+                        ("pathideal.monomials", "_power_products")]:
         original = getattr(sys.modules[owner], name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -238,6 +239,35 @@ def test_warm_default_sweep_builds_each_cells_power_generators_once(tmp_path, mo
     assert report.summary["fail"] == 0
     assert calls["power_generators"] == len(sweep_cells(cfg)) == 57
     assert calls["minimalize"] < 520
+    # the products of I^s once per cell, and of I^(s-1) for the colon lemma
+    lower = sum(s >= 2 for _, _, s in sweep_cells(cfg))
+    assert calls["_power_products"] == 57 + lower == 93
+
+
+@pytest.mark.parametrize("fault, oracle", [
+    ("duplicate", "duplicate power generators"),
+    ("divisible", "a power generator divides another"),
+    ("missing", 5),
+])
+def test_generators_row_fails_unless_each_product_is_a_minimal_generator(
+        tmp_path, monkeypatch, fault, oracle):
+    # (4,2,2) has 6 products; the last, u_3^2, is replaced or dropped
+    real = verify_mod.power_generators
+
+    def faulty(spec, s, **kwargs):
+        pairs = real(spec, s, **kwargs)
+        first, last = pairs[0][1], pairs.pop()
+        if fault == "duplicate":
+            pairs.append((last[0], first))
+        elif fault == "divisible":
+            pairs.append((last[0], m("x1^2*x2^2*x4", 4)))  # u_1^2 * x4
+        return pairs
+
+    monkeypatch.setattr(verify_mod, "power_generators", faulty)
+    cfg = tiny_config(tmp_path / "cache", n_min=4, s_min=2)
+    row = next(r for r in run_sweep(cfg).rows if r.quantity == "generators")
+    assert (row.status, row.formula, row.oracle) == ("fail", 6, oracle)
+    assert row.repro == "pathideal gens --n 4 --t 2 --power 2"
 
 
 def test_sweep_repros_rerun_their_rows(tmp_path, monkeypatch):
@@ -246,8 +276,7 @@ def test_sweep_repros_rerun_their_rows(tmp_path, monkeypatch):
 
     # colon_lemma and reg_augmented_j* rerun as `pathideal verify`, which
     # must carry every setting the row depends on: here, none is a default.
-    monkeypatch.setattr(verify_mod, "colon_by_monomial", broken)
-    monkeypatch.setattr(verify_mod, "minimalize", broken)
+    monkeypatch.setattr(verify_mod, "line_graph_generators", broken)
     cfg = SweepConfig(t_min=2, t_max=2, n_min=8, n_max=8, s_min=3, s_max=3,
                       deep_n_max=8, augmented_s_max=3, chars=(3,),
                       power_cap=150_000, lattice_cap=100_000,
@@ -268,15 +297,16 @@ def test_sweep_repros_rerun_their_rows(tmp_path, monkeypatch):
 
 
 def test_cli_repro_reruns_the_rows_own_objects(tmp_path, monkeypatch, capsys):
-    # With x2*x3 dropped from I, reg R/I of (4,2,1) reads 2, not 1.  The
-    # repro must print that same oracle: it builds I^s as the sweep does.
-    real = verify_mod.ideal_power
+    # With x2*x3 dropped from the products of I, reg R/I of (4,2,1) reads 2,
+    # not 1.  The repro must print that same oracle: it builds I^s from the
+    # cell's products, as the sweep does.
+    real = verify_mod.power_generators
 
-    def short(ideal, s, **kwargs):
-        gens = real(ideal, s, **kwargs).generators
-        return MonomialIdeal(ideal.ambient, gens[:1] + gens[2:])
+    def short(spec, s, **kwargs):
+        pairs = real(spec, s, **kwargs)
+        return pairs[:1] + pairs[2:]
 
-    monkeypatch.setattr(verify_mod, "ideal_power", short)
+    monkeypatch.setattr(verify_mod, "power_generators", short)
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
     cfg = tiny_config(tmp_path / "cache", n_min=4, n_max=4, s_max=1)
     row = next(r for r in run_sweep(cfg).rows if r.quantity == "reg")
@@ -831,6 +861,19 @@ def test_cli_check_zero_ideal_reports_both_modes(capsys):
         {"mode": "quotients", "ok": False, "error": "zero ideal: n=2 < t=3"},
         {"mode": "quasi", "quasi_linear": True},
     ]
+
+
+def test_cli_check_prints_the_break_only_where_it_is_stated(capsys):
+    # t = 1 has no break to print, however wide the path; t = 2 has one from n = 5
+    for n, t, lines in [(5, 1, 1), (4, 1, 1), (4, 2, 1), (5, 2, 3)]:
+        code, out = run_cli(capsys, "check", "--n", str(n), "--t", str(t),
+                            "--power", "2", "--mode", "quasi")
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert ("top-generator break" in out) is (lines == 3)
+        code, out = run_cli(capsys, "check", "--n", str(n), "--t", str(t),
+                            "--power", "2", "--mode", "quasi", "--json")
+        assert ("break" in json.loads(out)) is (lines == 3)
 
 
 @pytest.mark.parametrize("command", ["gens", "power", "betti", "check"])
