@@ -7,11 +7,26 @@ cache holds.  Entries are written atomically (temp file + rename) and
 validated on read; anything corrupt, in an older layout, or stored by another
 oracle version, is evicted and recomputed.
 
-An entry is one JSON object: ``key``, ``oracle_version``, ``ambient``,
-``char``, then the table as flat int arrays in sorted entry order, ``i`` (the
-homological index), ``b`` (the multidegrees, ``ambient`` exponents per entry)
-and ``rank``, and last ``sha256``, the SHA-256 of the entry's text before
-that field.
+An entry, ``<key>.json`` despite its name, is binary and big-endian: a
+54-byte header, the table's arrays, and the SHA-256 of everything before it
+(32 bytes).  The header holds, in order:
+
+- the magic ``PIBT`` (4 bytes);
+- the SHA-256 of the key's text (32 bytes);
+- the oracle version, the ambient n, the characteristic p and the entry
+  count k (4-byte unsigned each);
+- w, the byte width of the (i, b) values, and r, that of the ranks (1
+  byte each; 1, 2, 4 or 8, the narrowest that holds every value).
+
+Then come k rows of n + 1 unsigned values w bytes wide, the homological
+index i and the multidegree b, in strictly increasing (i, b) order, and k
+ranks r bytes wide.  A read checks the digest, the magic, the key, the oracle
+version, the widths, that the length is the one the header gives, that the
+rows increase strictly (big-endian rows of one width compare as byte
+strings, so one comparison of consecutive rows does it, and rules out
+repeats), that no value reads as negative in 64 bits, and that every rank is
+at least 1.  Entries of older releases were JSON; they fail the digest check
+and are evicted once, like any other unsound entry.
 """
 
 from __future__ import annotations
@@ -20,9 +35,11 @@ import hashlib
 import json
 import logging
 import os
+import struct
 import tempfile
-from itertools import chain, repeat
 from pathlib import Path
+
+import numpy as np
 
 from .monomials import MonomialIdeal
 from .oracle import (
@@ -30,6 +47,7 @@ from .oracle import (
     ORACLE_VERSION,
     BettiTable,
     FieldSpec,
+    _big_endian,
     betti_table,
 )
 
@@ -69,62 +87,77 @@ def betti_cache_key(
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-_DIGEST_FIELD = b',"sha256":"'
+# magic, SHA-256 of the key, oracle version, ambient, characteristic, entry
+# count, and the byte widths of the (i, b) values and of the ranks
+_HEADER = struct.Struct(">4s32sIIIIBB")
+_MAGIC = b"PIBT"
+_WIDTHS = (1, 2, 4, 8)
+_DIGEST_BYTES = 32
 
 
-def _sealed(entry: dict) -> bytes:
-    """The text of an entry: its compact JSON with a digest of the text before it."""
-    body = json.dumps(entry, separators=(",", ":"))[:-1].encode("ascii")
-    digest = hashlib.sha256(body).hexdigest().encode("ascii")
-    return body + _DIGEST_FIELD + digest + b'"}'
+def _sealed(body: bytes) -> bytes:
+    """An entry: its body, then the SHA-256 of the body."""
+    return body + hashlib.sha256(body).digest()
 
 
-def _encode(key: str, table: BettiTable) -> dict:
-    """The fields of a table's entry, as the module docstring lays them out."""
-    degrees = sorted(table.entries)
-    return {
-        "key": key,
-        "oracle_version": ORACLE_VERSION,
-        "ambient": table.ambient,
-        "char": table.characteristic,
-        "i": [index for index, _ in degrees],
-        "b": list(chain.from_iterable(multidegree for _, multidegree in degrees)),
-        "rank": list(map(table.entries.__getitem__, degrees)),
-    }
+def _key_digest(key: str) -> bytes:
+    return hashlib.sha256(key.encode("utf-8")).digest()
+
+
+def _encode(key: str, table: BettiTable) -> bytes:
+    """The entry of a table, as the module docstring lays it out."""
+    rows = _big_endian(np.column_stack((table.index, table.degrees)))
+    ranks = _big_endian(table.ranks)
+    header = _HEADER.pack(
+        _MAGIC, _key_digest(key), ORACLE_VERSION, table.ambient,
+        table.characteristic, ranks.size, rows.itemsize, ranks.itemsize,
+    )
+    return _sealed(header + rows.tobytes() + ranks.tobytes())
 
 
 def _decode(raw: bytes, key: str) -> BettiTable:
-    """The table of an entry's text; ValueError, KeyError or TypeError if unsound."""
-    body, _, digest = raw.rpartition(_DIGEST_FIELD)
-    if digest != hashlib.sha256(body).hexdigest().encode("ascii") + b'"}':
+    """The table of an entry; ValueError if the entry is unsound."""
+    body = memoryview(raw)[:-_DIGEST_BYTES]
+    if len(body) < _HEADER.size:
+        raise ValueError("entry shorter than its header")
+    if hashlib.sha256(body).digest() != raw[-_DIGEST_BYTES:]:
         raise ValueError("digest mismatch")
-    data = json.loads(raw)  # it ends in '"}', so it is an object if it parses
-    if data.get("key") != key:
+    magic, stored_key, version, ambient, char, count, width, rank_width = (
+        _HEADER.unpack_from(raw)
+    )
+    if magic != _MAGIC:
+        raise ValueError("not a binary table entry")
+    if stored_key != _key_digest(key):
         raise ValueError("stored key mismatch")
-    if data.get("oracle_version") != ORACLE_VERSION:
-        raise ValueError(
-            f"oracle version {data.get('oracle_version')!r}, not {ORACLE_VERSION}"
-        )
-    ambient, char = data["ambient"], data["char"]
-    i, b, rank = data["i"], data["b"], data["rank"]
-    if not (type(i) is type(b) is type(rank) is list):
-        raise ValueError("i, b and rank must be arrays")
-    # bool and float are refused too: an exact table holds only ints
-    if {type(ambient), type(char), *map(type, i), *map(type, b), *map(type, rank)} != {int}:
-        raise ValueError("non-integer value")
-    if len(rank) != len(i) or len(b) != ambient * len(i):
-        raise ValueError("array lengths disagree with ambient")
-    if min(ambient, min(i, default=0), min(b, default=0)) < 0 or min(rank, default=1) < 1:
-        raise ValueError("negative index or exponent, or rank below 1")
-    multidegrees = zip(*[iter(b)] * ambient) if ambient else repeat((), len(i))
-    entries = dict(zip(zip(i, multidegrees), rank))
-    if len(entries) != len(i):
-        raise ValueError("repeated (i, multidegree)")
-    return BettiTable(ambient, char, entries)
+    if version != ORACLE_VERSION:
+        raise ValueError(f"oracle version {version}, not {ORACLE_VERSION}")
+    if width not in _WIDTHS or rank_width not in _WIDTHS:
+        raise ValueError(f"value widths {width} and {rank_width}")
+    row_bytes = (ambient + 1) * width
+    if len(body) != _HEADER.size + count * (row_bytes + rank_width):
+        raise ValueError("entry length disagrees with its header")
+    # Big-endian rows of one width compare as byte strings in (i, b) order
+    # (oracle._big_endian).
+    if count > 1:
+        keys = np.frombuffer(raw, dtype=f"S{row_bytes}", count=count, offset=_HEADER.size)
+        if not (keys[1:] > keys[:-1]).all():
+            raise ValueError("entries not in strictly increasing (i, b) order")
+    # One column per value, so that the degrees are column-major and the
+    # row sums of the roll-ups add whole columns.
+    columns = np.frombuffer(
+        raw, dtype=f">u{width}", count=count * (ambient + 1), offset=_HEADER.size
+    ).reshape(count, ambient + 1).T.astype(np.int64)
+    ranks = np.frombuffer(
+        raw, dtype=f">u{rank_width}", count=count, offset=_HEADER.size + count * row_bytes
+    ).astype(np.int64)
+    # 8-byte values of 2^63 and above turn negative as int64
+    if count and (columns.min() < 0 or ranks.min() < 1):
+        raise ValueError("index or exponent above 2^63, or rank below 1")
+    return BettiTable(ambient, char, columns[0], columns[1:].T, ranks)
 
 
 class BettiCache:
-    """Directory of cached Betti tables, one JSON file per key.
+    """Directory of cached Betti tables, one file per key.
 
     evictions counts the corrupt or outdated entries lookup has removed.
     Each is logged at DEBUG only: after a layout change every stored table
@@ -138,22 +171,23 @@ class BettiCache:
         self.evictions = 0
         self._write_failed = False
 
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return os.path.join(self.directory, f"{key}.json")
 
     def lookup(self, key: str) -> BettiTable | None:
         path = self._path(key)
         try:
-            raw = path.read_bytes()
+            with open(path, "rb", buffering=0) as fh:
+                raw = fh.readall()
         except OSError:
             self.misses += 1
             return None
         try:
             table = _decode(raw, key)
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             log.debug("evicting cache entry %s (%s)", path, exc)
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             self.evictions += 1
@@ -165,7 +199,7 @@ class BettiCache:
     def store(self, key: str, table: BettiTable) -> None:
         if self._write_failed:
             return
-        payload = _sealed(_encode(key, table))
+        payload = _encode(key, table)
         try:
             try:
                 self._write(key, payload)

@@ -22,7 +22,9 @@ dense modular Gaussian elimination.  Rational homology is out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -578,68 +580,112 @@ def lcm_lattice(
 # Betti tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BettiTable:
     """Multigraded Betti numbers of a monomial ideal over GF(p).
 
-    entries maps (homological index i, multidegree) to a positive rank;
-    graded and total numbers are roll-ups of it.
+    Entry k is beta_{index[k], degrees[k]} = ranks[k] > 0: index holds the
+    homological indices, degrees the multidegrees (one row of ambient
+    exponents each) and ranks the ranks.  The entries are in strictly
+    increasing (i, b) order.  The arrays are int64 and read-only, because a
+    sweep cell shares one table among its rows.  Tables are equal when their
+    entries are; graded and total numbers are roll-ups of them.
     """
 
     ambient: int
     characteristic: int
-    entries: Mapping[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
+    index: np.ndarray
+    degrees: np.ndarray
+    ranks: np.ndarray
+
+    def __post_init__(self):
+        index = np.asarray(self.index, dtype=np.int64)
+        arrays = {
+            "index": index,
+            "degrees": np.asarray(self.degrees, dtype=np.int64).reshape(
+                index.size, self.ambient
+            ),
+            "ranks": np.asarray(self.ranks, dtype=np.int64),
+        }
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BettiTable):
+            return NotImplemented
+        return (self.ambient, self.characteristic) == (
+            other.ambient, other.characteristic
+        ) and all(
+            np.array_equal(a, b)
+            for a, b in zip((self.index, self.degrees, self.ranks),
+                            (other.index, other.degrees, other.ranks))
+        )
+
+    @cached_property
+    def entries(self) -> Mapping[tuple[int, tuple[int, ...]], int]:
+        """{(i, multidegree): rank}, read-only; built on first access."""
+        keys = zip(self.index.tolist(), map(tuple, self.degrees.tolist()))
+        return MappingProxyType(dict(zip(keys, self.ranks.tolist())))
+
+    @cached_property
+    def total_degrees(self) -> np.ndarray:
+        """The total degree |b| of each entry, read-only; the roll-ups share it."""
+        sums = self.degrees.sum(axis=1)
+        sums.setflags(write=False)
+        return sums
 
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self.ranks.size
 
     def totals(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for (i, _), r in self.entries.items():
-            out[i] = out.get(i, 0) + r
-        return dict(sorted(out.items()))
+        # index is sorted, so each i is one run
+        starts = np.flatnonzero(np.diff(self.index, prepend=-1))
+        sums = np.add.reduceat(self.ranks, starts)
+        return dict(zip(self.index[starts].tolist(), sums.tolist()))
 
     def graded(self) -> dict[tuple[int, int], int]:
         """Graded Betti numbers {(i, total degree j): rank}."""
-        out: dict[tuple[int, int], int] = {}
-        for (i, b), r in self.entries.items():
-            key = (i, sum(b))
-            out[key] = out.get(key, 0) + r
-        return dict(sorted(out.items()))
-
-    def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({sum(b) for (i, b) in self.entries if i == 0}))
+        order = np.lexsort((self.total_degrees, self.index))
+        i, j = self.index[order], self.total_degrees[order]
+        starts = np.flatnonzero(np.diff(i, prepend=-1) | np.diff(j, prepend=-1))
+        sums = np.add.reduceat(self.ranks[order], starts)
+        return dict(zip(zip(i[starts].tolist(), j[starts].tolist()), sums.tolist()))
 
     def max_index(self) -> int:
-        if not self.entries:
+        if not self.ranks.size:
             raise ValueError("empty Betti table")
-        return max(i for (i, _) in self.entries)
+        return int(self.index[-1])
 
     def quotient_regularity(self) -> int:
         """reg R/I = max(|b| - i) - 1 over the nonzero entries of I."""
-        if not self.entries:
+        if not self.ranks.size:
             raise ValueError("empty Betti table")
-        return max(sum(b) - i for (i, b) in self.entries) - 1
+        return int((self.total_degrees - self.index).max()) - 1
 
     def quotient_projective_dimension(self) -> int:
         """pd R/I = 1 + max homological index of I."""
         return 1 + self.max_index()
 
     def is_linear(self) -> bool:
-        """True iff generated in one degree d with all entries at j = i + d."""
-        degs = self.generator_degrees()
-        if len(degs) != 1:
+        """True iff generated in one degree d with all entries at j = i + d.
+
+        That is: an entry has i = 0, and |b| - i is the same for every entry.
+        """
+        if not self.ranks.size or self.index[0]:
             return False
-        d = degs[0]
-        return all(sum(b) == i + d for (i, b) in self.entries)
+        strand = self.total_degrees - self.index
+        return bool((strand == strand[0]).all())
 
     def to_dict(self) -> dict:
         return {
             "ambient": self.ambient,
             "char": self.characteristic,
             "entries": [
-                {"i": i, "multidegree": list(b), "rank": r}
-                for (i, b), r in sorted(self.entries.items())
+                {"i": i, "multidegree": b, "rank": r}
+                for i, b, r in zip(
+                    self.index.tolist(), self.degrees.tolist(), self.ranks.tolist()
+                )
             ],
             "graded": [
                 {"i": i, "j": j, "rank": r}
@@ -648,10 +694,10 @@ class BettiTable:
         }
 
     def __str__(self) -> str:
-        if not self.entries:
+        if not self.ranks.size:
             return "empty Betti table"
         graded = self.graded()
-        imax = max(i for (i, _) in graded)
+        imax = self.max_index()
         lines = ["j\\i " + " ".join(f"{i:>5}" for i in range(imax + 1))]
         js = sorted({j for (_, j) in graded})
         for j in js:
@@ -684,17 +730,62 @@ def _spans(lat: np.ndarray, anchored: bool) -> np.ndarray:
     return np.full(lat.shape[0], n)
 
 
-def _mirror_half(lat: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Which rows b of lat have b[:m] <=_lex rev(b[:m]), m = span, palindromes too.
+def _reversed_windows(lat: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Each row b of lat with its window b[:m], m = span, reversed.
 
-    Rows are zero past their span, so there b is compared with itself.
+    Rows are zero past their span, and stay so.
     """
     j = np.arange(lat.shape[1])
     at = span[:, None] - 1 - j
-    rev = np.take_along_axis(lat, np.where(at >= 0, at, j), axis=1)
+    return lat[np.arange(lat.shape[0])[:, None], np.where(at >= 0, at, j)]
+
+
+def _mirror_half(lat: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Which rows b of lat have b[:m] <=_lex rev(b[:m]), m = span, palindromes too."""
+    rev = _reversed_windows(lat, span)
     first = (lat != rev).argmax(axis=1)
     rows = np.arange(lat.shape[0])
     return lat[rows, first] <= rev[rows, first]
+
+
+def _big_endian(values: np.ndarray) -> np.ndarray:
+    """The values, nonnegative, as big-endian unsigned ints of the narrowest width.
+
+    Read as byte strings, rows of the result compare as the rows of values
+    do lexicographically.
+    """
+    width = np.min_scalar_type(int(values.max(initial=0))).itemsize
+    return values.astype(f">u{width}")
+
+
+def _write_entries(
+    n: int, p: int, points: np.ndarray, index: np.ndarray, ranks: np.ndarray,
+    shift: bool, mirror: bool,
+) -> BettiTable:
+    """The table of the walked entries beta_{index[k], points[k]} = ranks[k].
+
+    With mirror, the reversed window of each point is an entry too, once
+    for a palindrome.  With shift, every entry is written at each offset its
+    window b[:m], m the last nonzero position, fits.  The copies are made by
+    broadcasting and sorted into (i, b) order; no two coincide, because the
+    walked points are distinct anchored windows and one of each mirror pair.
+    """
+    span = _spans(points, shift)
+    if mirror:
+        rev = _reversed_windows(points, span)
+        new = (rev != points).any(axis=1)
+        points = np.concatenate((points, rev[new]))
+        index, ranks, span = (np.concatenate((a, a[new])) for a in (index, ranks, span))
+    # a copy of entry row at each offset at <= n - span: it moves b right
+    row, at = np.nonzero(np.arange(n + 1) <= (n - span)[:, None])
+    source = np.arange(n) - at[:, None]
+    rows = np.column_stack(
+        (index[row], np.where(source >= 0, points[row[:, None], source], 0))
+    )
+    keys = _big_endian(rows)
+    order = np.argsort(keys.view(f"S{keys.itemsize * (n + 1)}").ravel())
+    rows = rows[order]
+    return BettiTable(n, p, rows[:, 0], rows[:, 1:], ranks[row[order]])
 
 
 def betti_table(
@@ -719,7 +810,7 @@ def betti_table(
     """
     p = fieldspec.characteristic
     if ideal.is_zero():
-        return BettiTable(ideal.ambient, p, {})
+        return BettiTable(ideal.ambient, p, (), (), ())
     n = ideal.ambient
     gens = [g.exponents for g in ideal.generators]
     G = np.array(gens, dtype=np.int64)
@@ -728,13 +819,10 @@ def betti_table(
     mirror = n > 1 and sorted(g[::-1] for g in gens) == gens
     if mirror:
         lat = lat[_mirror_half(lat, _spans(lat, shift))]
-    entries: dict[tuple[int, tuple[int, ...]], int] = {}
+    # each walked point with homology, and its (point's row, i, rank)
+    points, found = [np.zeros((0, n), dtype=np.int64)], [np.zeros((0, 3), dtype=np.int64)]
     for part, ind in _koszul_batches(G, lat):
-        spans = _spans(part, shift).tolist()
-        for r, i, h in _batch_homology(ind, p):
-            m = spans[r]
-            window = tuple(part[r, :m].tolist())
-            for b in {window, window[::-1]} if mirror else (window,):
-                for at in range(n - m + 1):
-                    entries[(i, (0,) * at + b + (0,) * (n - m - at))] = h
-    return BettiTable(n, p, entries)
+        found.append(np.array(list(_batch_homology(ind, p)), dtype=np.int64).reshape(-1, 3))
+        points.append(part[found[-1][:, 0]])
+    _, index, ranks = np.concatenate(found).T
+    return _write_entries(n, p, np.concatenate(points), index, ranks, shift, mirror)

@@ -313,8 +313,9 @@ def _read(p: int, read: Callable[[BettiTable], Any], state: _CellState) -> Any:
 def _betti(p: int, state: _CellState) -> Any:
     table = state.table(p)
     d = state.s * state.t
-    stray = [(i, sum(b)) for (i, b) in table.entries if sum(b) != i + d]
-    if stray:
+    off = table.total_degrees - table.index != d
+    if off.any():
+        stray = zip(table.index[off].tolist(), table.total_degrees[off].tolist())
         return f"entries off the linear strand: {sorted(stray)}"
     totals = table.totals()
     return [totals.get(i, 0) for i in range(table.max_index() + 1)]

@@ -10,6 +10,11 @@ against which the exponent-matrix routes of the package are checked.  The
 composition route lists a path ideal's power generators one composition at
 a time, each multiplied out by its own loop.
 
+table_of builds a BettiTable from an {(i, b): rank} mapping.  The entry
+loop writes the walked entries of a table one translate and mirror image at
+a time, as the reference for the oracle's broadcast write
+(entry_writes_checked compares the two on every table built inside it).
+
 The reference route computes Betti numbers from the definitions,
 independently of the oracle's kernel: the lcm lattice from all nonempty
 generator subsets, the upper Koszul complex K^b from x^b / x^sigma in I,
@@ -22,7 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from typing import Iterator
+from contextlib import contextmanager
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -45,7 +51,8 @@ from pathideal.monomials import (
     minimalize,
     mono_divides,
 )
-from pathideal.oracle import gfp_rank
+import pathideal.oracle as oracle_mod
+from pathideal.oracle import BettiTable, gfp_rank
 from pathideal.path_ideals import Composition, PathIdealSpec, power_generators
 
 Face = tuple[int, ...]
@@ -267,3 +274,46 @@ def betti_via_public_route(i: MonomialIdeal, p: int) -> dict:
         dims = reduced_homology(koszul_by_definition(i, Monomial(b)), p)
         entries.update({(idx, b): h for idx, h in enumerate(dims) if h})
     return entries
+
+
+def table_of(ambient: int, p: int, entries: Mapping) -> BettiTable:
+    """The table with the given {(i, multidegree): rank} entries."""
+    keys = sorted(entries)
+    return BettiTable(
+        ambient, p, [i for i, _ in keys],
+        np.array([b for _, b in keys], dtype=np.int64).reshape(len(keys), ambient),
+        [entries[k] for k in keys],
+    )
+
+
+def write_entries_by_loop(n, p, points, index, ranks, shift, mirror) -> BettiTable:
+    """_write_entries as a loop over entries, writing each copy into a dict."""
+    entries: dict = {}
+    spans = oracle_mod._spans(points, shift).tolist()
+    for b, i, h, m in zip(points.tolist(), index.tolist(), ranks.tolist(), spans):
+        window = tuple(b[:m])
+        for w in {window, window[::-1]} if mirror else (window,):
+            for at in range(n - m + 1):
+                entries[(i, (0,) * at + w + (0,) * (n - m - at))] = h
+    return table_of(n, p, entries)
+
+
+@contextmanager
+def entry_writes_checked():
+    """Check every table betti_table writes inside it against the entry loop.
+
+    Yields the list of the tables checked.
+    """
+    real, checked = oracle_mod._write_entries, []
+
+    def write(*args):
+        table = real(*args)
+        assert table == write_entries_by_loop(*args)
+        checked.append(table)
+        return table
+
+    oracle_mod._write_entries = write
+    try:
+        yield checked
+    finally:
+        oracle_mod._write_entries = real

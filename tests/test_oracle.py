@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pathideal.cache as cache_mod
 from pathideal.cache import BettiCache
 from pathideal.errors import SizeCapExceededError
 import pathideal.oracle as oracle_mod
@@ -19,7 +21,6 @@ import pathideal.verify as verify_mod
 from pathideal.monomials import Monomial, MonomialIdeal, minimalize
 from pathideal.oracle import (
     GF2,
-    BettiTable,
     FieldSpec,
     _batch_homology,
     _critical_counts,
@@ -39,6 +40,7 @@ from pathideal.verify import SweepConfig, run_sweep
 from support import (
     betti_via_public_route,
     contains,
+    entry_writes_checked,
     from_faces,
     ideal,
     koszul_by_definition,
@@ -46,6 +48,7 @@ from support import (
     m,
     power,
     reduced_homology,
+    table_of,
 )
 
 
@@ -956,7 +959,9 @@ def test_betti_matches_the_benchmark_ladder_goldens():
     assert len(ladder) == 5
     for cell, want in ladder.items():
         n, t, s, p = map(int, cell.replace("@", ",").split(","))
-        table = betti_table(power(n, t, s), FieldSpec(p))
+        with entry_writes_checked() as checked:  # the broadcast write too
+            table = betti_table(power(n, t, s), FieldSpec(p))
+        assert checked == [table]
         blob = json.dumps(table.to_dict(), sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == want["digest"]
         assert len(table.entries) == want["entries"]
@@ -1043,12 +1048,51 @@ def test_betti_table_round_trip(tmp_path):
         betti_table(power(4, 2, 2), FieldSpec(3)),
         betti_table(MonomialIdeal(2, ())),
         betti_table(minimalize([Monomial((0, 0))], ambient=2)),
-        BettiTable(0, 2, {(0, ()): 1}),
+        table_of(0, 2, {(0, ()): 1}),
     ]
     for k, table in enumerate(tables):
         cache.store(f"k{k}", table)
         assert cache.lookup(f"k{k}") == table
     assert (cache.hits, cache.misses) == (len(tables), 0)
+
+
+# Values of every stored width, 1 to 8 bytes, small enough that the sums of
+# a table's roll-ups fit in int64.
+def small_or_wide(low):
+    return st.integers(low, 3) | st.integers(low, 2**59)
+
+
+random_tables = st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.sampled_from([2, 3, 2**31 - 1]),
+    st.dictionaries(
+        st.tuples(st.integers(0, 7), st.tuples(*[small_or_wide(0)] * n)),
+        small_or_wide(1), max_size=6,
+    ),
+))
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_tables)
+def test_cache_round_trip_of_random_tables(drawn):
+    table = table_of(*drawn)
+    with tempfile.TemporaryDirectory() as directory:
+        cache = BettiCache(directory)
+        cache.store("k", table)
+        got = cache.lookup("k")
+    assert got == table and cache.hits == 1
+    assert json.dumps(got.to_dict()) == json.dumps(table.to_dict())
+    assert str(got) == str(table)
+    # The same rows in reverse order, re-sealed, fail the byte-string order
+    # check whatever their width and trailing zeros.
+    count, header = table.ranks.size, cache_mod._HEADER.size
+    if count > 1:
+        raw = cache_mod._encode("k", table)
+        row = (table.ambient + 1) * raw[header - 2]
+        rows = [raw[header + r * row : header + (r + 1) * row] for r in range(count)]
+        body = raw[:header] + b"".join(rows[::-1]) + raw[header + count * row : -32]
+        with pytest.raises(ValueError, match="order"):
+            cache_mod._decode(cache_mod._sealed(body), "k")
 
 
 def test_betti_table_str_is_a_grid():
@@ -1058,7 +1102,7 @@ def test_betti_table_str_is_a_grid():
 
 
 def test_is_linear_rejects_mixed_degrees():
-    table = BettiTable(2, 2, {(0, (1, 0)): 1, (0, (0, 2)): 1})
+    table = table_of(2, 2, {(0, (1, 0)): 1, (0, (0, 2)): 1})
     assert not table.is_linear()
 
 
@@ -1082,7 +1126,8 @@ def test_fast_table_matches_public_route_on_random_ideals(gens, p):
 )
 def test_fast_table_matches_public_route_on_mirror_closed_ideals(gens, p):
     i = minimalize([Monomial(g) for g in gens + [g[::-1] for g in gens]])
-    assert betti_table(i, FieldSpec(p)).entries == betti_via_public_route(i, p)
+    with entry_writes_checked():
+        assert betti_table(i, FieldSpec(p)).entries == betti_via_public_route(i, p)
 
 
 seeds_in_ambient = st.integers(1, 6).flatmap(lambda n: st.tuples(
@@ -1117,6 +1162,7 @@ def test_fast_table_matches_public_route_on_shift_closed_ideals(seeds, mirrored,
         drop = ends[pick % len(ends)]
         kept = tuple(g for g in i.generators if g.exponents != drop)
         near.append(MonomialIdeal(ambient, kept))
-    for j in [i] + near:
-        for p in (2, 3):
-            assert betti_table(j, FieldSpec(p)).entries == betti_via_public_route(j, p)
+    with entry_writes_checked():
+        for j in [i] + near:
+            for p in (2, 3):
+                assert betti_table(j, FieldSpec(p)).entries == betti_via_public_route(j, p)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -28,7 +29,7 @@ from pathideal.cache import (
 from pathideal.cli import _sweep_config, build_parser, main
 from pathideal.errors import ColonFormMismatchError, PathIdealError
 from pathideal.monomials import minimalize
-from pathideal.oracle import GF2, BettiTable, FieldSpec
+from pathideal.oracle import GF2, FieldSpec
 from pathideal.path_ideals import composition_count
 from pathideal.verify import (
     CSV_COLUMNS,
@@ -39,7 +40,7 @@ from pathideal.verify import (
     run_sweep,
     sweep_cells,
 )
-from support import m
+from support import m, table_of
 
 EDGE_IDEAL_3 = minimalize([m("x1*x2", 3), m("x2*x3", 3)], ambient=3)
 
@@ -431,6 +432,20 @@ def test_cache_hit_and_miss_counters(tmp_path):
     assert t1 == t2
 
 
+def test_betti_row_names_the_entries_off_the_linear_strand():
+    # Generated in degree d = st = 2; three entries off the strand j = i + 2,
+    # two of them at the same (i, j).
+    entries = {(0, (1, 1, 0)): 1, (0, (0, 1, 1)): 1, (1, (1, 1, 1)): 1,
+               (1, (2, 1, 1)): 2, (1, (1, 1, 2)): 1, (0, (3, 0, 0)): 1}
+    state = SimpleNamespace(s=1, t=2, table=lambda p: table_of(3, p, entries))
+    stray = sorted((i, sum(b)) for (i, b) in entries if sum(b) != i + 2)
+    assert stray == [(0, 3), (1, 4), (1, 4)]
+    assert verify_mod._betti(2, state) == f"entries off the linear strand: {stray}"
+    on_strand = {k: r for k, r in entries.items() if sum(k[1]) == k[0] + 2}
+    state.table = lambda p: table_of(3, p, on_strand)
+    assert verify_mod._betti(2, state) == [2, 1]
+
+
 def test_cache_key_separates_characteristics(tmp_path):
     cache = BettiCache(tmp_path / "cache")
     cached_betti_table(EDGE_IDEAL_3, GF2, cache)
@@ -450,7 +465,7 @@ def test_cache_evicts_corrupt_entries(tmp_path):
     assert table.totals() == {0: 2, 1: 1}
     assert cache.misses == 2
     # the eviction recomputed and re-stored a valid entry
-    assert json.loads(victim.read_text(encoding="utf-8"))["key"] == key
+    assert cache_mod._decode(victim.read_bytes(), key) == table
     # valid JSON that is not an object is evicted the same way
     victim.write_text("[1]", encoding="utf-8")
     assert cache.lookup(key) is None
@@ -464,9 +479,7 @@ def test_cache_rejects_swapped_entries(tmp_path):
     key2 = betti_cache_key(EDGE_IDEAL_3, 2)
     key3 = betti_cache_key(EDGE_IDEAL_3, 3)
     src = tmp_path / "cache" / f"{key2}.json"
-    (tmp_path / "cache" / f"{key3}.json").write_text(
-        src.read_text(encoding="utf-8"), encoding="utf-8"
-    )
+    (tmp_path / "cache" / f"{key3}.json").write_bytes(src.read_bytes())
     cached_betti_table(EDGE_IDEAL_3, FieldSpec(3), cache)
     assert cache.hits == 0  # stored-key mismatch forced a recompute
 
@@ -476,7 +489,7 @@ def test_cache_does_not_replay_older_oracle(tmp_path, monkeypatch):
     # An older oracle stored a (here: wrong) table for the ideal.
     monkeypatch.setattr(cache_mod, "ORACLE_VERSION", cache_mod.ORACLE_VERSION - 1)
     old_key = betti_cache_key(EDGE_IDEAL_3, 2)
-    cache.store(old_key, BettiTable(3, 2, {(0, (1, 1, 0)): 1}))
+    cache.store(old_key, table_of(3, 2, {(0, (1, 1, 0)): 1}))
     monkeypatch.undo()
     assert betti_cache_key(EDGE_IDEAL_3, 2) != old_key
     table = cached_betti_table(EDGE_IDEAL_3, GF2, cache)
@@ -486,12 +499,20 @@ def test_cache_does_not_replay_older_oracle(tmp_path, monkeypatch):
     # and is evicted.
     key = betti_cache_key(EDGE_IDEAL_3, 2)
     entry = tmp_path / "cache" / f"{key}.json"
-    data = json.loads(entry.read_text(encoding="utf-8"))
-    assert data["oracle_version"] == cache_mod.ORACLE_VERSION
-    data["oracle_version"] -= 1
-    entry.write_text(json.dumps(data), encoding="utf-8")
+    raw = entry.read_bytes()
+    header = cache_mod._HEADER
+    fields = list(header.unpack_from(raw))
+    assert fields[2] == cache_mod.ORACLE_VERSION
+    fields[2] -= 1
+    entry.write_bytes(cache_mod._sealed(header.pack(*fields) + raw[header.size : -32]))
     assert cache.lookup(key) is None
     assert not entry.exists()
+
+
+def json_entry(fields: dict) -> bytes:
+    """An entry in the JSON layout of earlier releases: sealed by a hex digest."""
+    body = json.dumps(fields, separators=(",", ":"))[:-1].encode("ascii")
+    return body + b',"sha256":"' + hashlib.sha256(body).hexdigest().encode() + b'"}'
 
 
 def test_cache_evicts_unsound_entries(tmp_path):
@@ -500,46 +521,81 @@ def test_cache_evicts_unsound_entries(tmp_path):
     key = betti_cache_key(EDGE_IDEAL_3, 2)
     entry = tmp_path / "cache" / f"{key}.json"
     sound = entry.read_bytes()
-    good = json.loads(sound)
-    del good["sha256"]
-    assert cache_mod._sealed(good) == sound
-    assert (good["ambient"], good["i"], good["rank"]) == (3, [0, 0, 1], [1, 1, 1])
-    assert good["b"] == [0, 1, 1, 1, 1, 0, 1, 1, 1]
-    older_layout = {  # as entries were written before the flat layout
-        "key": key, "oracle_version": good["oracle_version"],
-        "table": {"ambient": 3, "char": 2,
-                  "entries": [{"i": 0, "multidegree": [0, 1, 1], "rank": 1}],
-                  "graded": [{"i": 0, "j": 2, "rank": 1}]},
-    }
+    header = cache_mod._HEADER
+    names = ("magic", "key", "version", "ambient", "char", "count", "width", "rank_width")
+    fields = dict(zip(names, header.unpack_from(sound)))
+    assert fields == {"magic": b"PIBT", "key": hashlib.sha256(key.encode()).digest(),
+                      "version": cache_mod.ORACLE_VERSION, "ambient": 3, "char": 2,
+                      "count": 3, "width": 1, "rank_width": 1}
+    # (i, b) rows, then the ranks, then the digest
+    rows = sound[header.size : header.size + 12]
+    ranks = sound[header.size + 12 : -32]
+    assert rows == bytes([0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1])
+    assert ranks == bytes([1, 1, 1])
+    assert cache_mod._sealed(sound[:-32]) == sound
 
-    def sealed(**changes):
+    def sealed(rows=rows, ranks=ranks, **changes):
         # a valid digest, so that only the structure check can refuse it
-        return cache_mod._sealed({**good, **changes})
+        return cache_mod._sealed(header.pack(*{**fields, **changes}.values()) + rows + ranks)
 
-    corruptions = {
-        "rank 1.9": sealed(rank=[1.9, 1, 1]),
-        "rank true": sealed(rank=[True, 1, 1]),
-        "exponent 0.0": sealed(b=[0.0] + good["b"][1:]),
-        "rank 0": sealed(rank=[0, 1, 1]),
-        "multidegree [2, 1] in ambient 3": sealed(b=[2, 1] + good["b"][3:]),
-        "multidegree [2, -1, 2]": sealed(b=[2, -1, 2] + good["b"][3:]),
-        "negative index": sealed(i=[-1, 0, 1]),
-        "repeated (i, b)": sealed(i=[0, 0, 0, 1], b=good["b"][:3] + good["b"],
-                                  rank=[1, 1, 1, 1]),
-        "ranks and entries disagree": sealed(rank=[1, 1]),
-        "nested arrays": sealed(b=[[0, 1, 1], [1, 1, 0], [1, 1, 1]]),
-        "digest mismatch": sound.replace(b'"rank":[1,1,1]', b'"rank":[2,1,1]'),
-        "no digest": json.dumps(good).encode(),
-        "older layout": json.dumps(older_layout, sort_keys=True,
-                                   separators=(",", ":")).encode(),
-        "older layout, sealed": cache_mod._sealed(older_layout),
+    def wide(values):  # 8-byte big-endian values
+        return b"".join(v.to_bytes(8, "big") for v in values)
+
+    # The unsigned layout holds neither fractions, bools, nested arrays nor
+    # negative numbers; their analogue is a value of 2^63 or more at width 8.
+    flat = [0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 1]
+    refused = {  # each case, and the check that refuses it
+        "rank 0": (sealed(ranks=bytes([0, 1, 1])), "rank below 1"),
+        "exponent 2^64 - 1 at width 8": (
+            sealed(width=8, rows=wide(flat + [2**64 - 1])), "above 2\\^63"),
+        "index 2^63 at width 8": (
+            sealed(width=8, rows=wide(flat[:8] + [2**63, 1, 1, 1])), "above 2\\^63"),
+        "rank 2^63 at width 8": (
+            sealed(rank_width=8, ranks=wide([1, 1, 2**63])), "rank below 1"),
+        "ambient 4, rows of 3": (sealed(ambient=4), "length"),
+        "a row one value short": (sealed(rows=rows[:-1]), "length"),
+        "ranks and entries disagree": (sealed(ranks=ranks[:2]), "length"),
+        "count above the rows": (sealed(count=4), "length"),
+        "width 3": (sealed(width=3), "widths"),
+        "repeated (i, b)": (
+            sealed(count=4, rows=rows[:4] + rows, ranks=ranks + b"\x01"), "order"),
+        "rows out of order": (sealed(rows=rows[4:8] + rows[:4] + rows[8:]), "order"),
+        "last two rows swapped": (sealed(rows=rows[:4] + rows[8:] + rows[4:8]), "order"),
+        "another magic": (sealed(magic=b"PIBU"), "not a binary"),
+        "digest mismatch": (sound[:-33] + b"\x02" + sound[-32:], "digest"),
+        "no digest": (sound[:-32], "shorter"),
+        "empty": (b"", "shorter"),
+        # The JSON layouts of earlier releases: this one's predecessor, flat
+        # arrays with a hex digest, as it stored this very table (the upgrade
+        # path), and the one before it, with no digest.
+        "JSON layout, sealed": (json_entry({
+            "key": key, "oracle_version": cache_mod.ORACLE_VERSION, "ambient": 3,
+            "char": 2, "i": [0, 0, 1], "b": [0, 1, 1, 1, 1, 0, 1, 1, 1],
+            "rank": [1, 1, 1],
+        }), "digest"),
+        "older JSON layout": (json.dumps({
+            "key": key, "oracle_version": cache_mod.ORACLE_VERSION,
+            "table": {"ambient": 3, "char": 2,
+                      "entries": [{"i": 0, "multidegree": [0, 1, 1], "rank": 1}],
+                      "graded": [{"i": 0, "j": 2, "rank": 1}]},
+        }, sort_keys=True, separators=(",", ":")).encode(), "digest"),
     }
-    for misses, (case, text) in enumerate(corruptions.items(), start=2):
+    # Every truncation, and every single byte flipped.
+    for length in range(len(sound)):
+        refused[f"truncated to {length} bytes"] = (sound[:length], "digest|shorter")
+    for at in range(len(sound)):
+        flipped = bytearray(sound)
+        flipped[at] ^= 0xFF
+        refused[f"byte {at} flipped"] = (bytes(flipped), "digest")
+    for misses, (case, (text, reason)) in enumerate(refused.items(), start=2):
+        with pytest.raises(ValueError, match=reason):
+            cache_mod._decode(text, key)
         entry.write_bytes(text)
         assert cached_betti_table(EDGE_IDEAL_3, GF2, cache) == want, case
         assert (cache.hits, cache.misses) == (0, misses), case
         # evicted, recomputed and stored again
         assert entry.read_bytes() == sound, case
+    assert cache.evictions == len(refused)
 
 
 def test_sweep_reports_cache_evictions_in_one_line(tmp_path, caplog):
@@ -585,7 +641,7 @@ def test_cache_makes_its_directory_only_when_it_is_missing(tmp_path, monkeypatch
         return real_mkdir(self, *args, **kwargs)
 
     monkeypatch.setattr(Path, "mkdir", spy)
-    table = BettiTable(3, 2, {(0, (1, 1, 0)): 1})
+    table = table_of(3, 2, {(0, (1, 1, 0)): 1})
     directory = tmp_path / "cache"
     cache = BettiCache(directory)
     for key in ("k0", "k1", "k2"):
