@@ -18,8 +18,6 @@ from .monomials import (
     format_monomial,
     ideal_power,
     minimalize,
-    mono_divides,
-    mono_pow,
 )
 from .path_ideals import (
     Composition,
@@ -77,8 +75,6 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "format_monomial",
-    "mono_divides",
-    "mono_pow",
     "minimalize",
     "colon_by_monomial",
     "ideal_power",

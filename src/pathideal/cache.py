@@ -1,15 +1,16 @@
 """Content-addressed disk cache for Betti tables.
 
-Keys are SHA-256 hashes of the canonical serialization of (generators,
-characteristic, lattice cap, oracle version), so a hit can only ever replay
-the exact same computation, and a cell the cap skips is skipped whatever the
-cache holds.  Entries are written atomically (temp file + rename) and
-validated on read; anything corrupt, in an older layout, or stored by another
-oracle version, is evicted and recomputed.
+A key is the SHA-256 of a fixed header (tag, oracle version, ambient,
+characteristic, generator count, lattice cap) and the ideal's exponent
+matrix as little-endian int64 bytes, so a hit can only ever replay the exact
+same computation, and a cell the cap skips is skipped whatever the cache
+holds.  Entries are written atomically (temp file + rename) and validated on
+read; anything corrupt, in an older layout, or stored by another oracle
+version, is evicted and recomputed.
 
-An entry, ``<key>.json`` despite its name, is binary and big-endian: a
-54-byte header, the table's arrays, and the SHA-256 of everything before it
-(32 bytes).  The header holds, in order:
+An entry, ``<key>.pibt``, is binary and big-endian: a 54-byte header, the
+table's arrays, and the SHA-256 of everything before it (32 bytes).  The
+header holds, in order:
 
 - the magic ``PIBT`` (4 bytes);
 - the SHA-256 of the key's text (32 bytes);
@@ -25,14 +26,13 @@ version, the widths, that the length is the one the header gives, that the
 rows increase strictly (big-endian rows of one width compare as byte
 strings, so one comparison of consecutive rows does it, and rules out
 repeats), that no value reads as negative in 64 bits, and that every rank is
-at least 1.  Entries of older releases were JSON; they fail the digest check
-and are evicted once, like any other unsound entry.
+at least 1.  Older releases keyed entries by JSON and named them
+``<key>.json``; no key names those files, so they are never read.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import struct
@@ -70,21 +70,26 @@ def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
     return Path(DEFAULT_CACHE_DIR)
 
 
+# tag, oracle version, ambient, characteristic, generator count, lattice cap
+_KEY_HEADER = struct.Struct("<4sIIIQq")
+
+
 def betti_cache_key(
     ideal: MonomialIdeal,
     characteristic: int,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> str:
-    """SHA-256 over the canonical JSON of the generators, field, cap and oracle."""
-    payload = {
-        "ambient": ideal.ambient,
-        "char": characteristic,
-        "generators": [g.exponents for g in ideal.generators],
-        "lattice_cap": lattice_cap,
-        "oracle_version": ORACLE_VERSION,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """SHA-256 over a fixed header and the generators' little-endian int64 bytes.
+
+    The exponent matrix is canonical, so the key does not depend on how the
+    ideal was built; rows of ambient 0 have no bytes, hence the row count.
+    The walk refuses when its point count exceeds the cap, so every negative
+    cap acts as -1, and every cap from 2^63 - 1 up admits any lattice.
+    """
+    E, cap = ideal.exponents, min(max(lattice_cap, -1), (1 << 63) - 1)
+    header = _KEY_HEADER.pack(b"PIK1", ORACLE_VERSION, ideal.ambient, characteristic,
+                              len(E), cap)
+    return hashlib.sha256(header + E.astype("<i8", copy=False).tobytes()).hexdigest()
 
 
 # magic, SHA-256 of the key, oracle version, ambient, characteristic, entry
@@ -172,7 +177,7 @@ class BettiCache:
         self._write_failed = False
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.directory, f"{key}.json")
+        return os.path.join(self.directory, f"{key}.pibt")
 
     def lookup(self, key: str) -> BettiTable | None:
         path = self._path(key)
@@ -215,7 +220,7 @@ class BettiCache:
 
     def _write(self, key: str, payload: bytes) -> None:
         """Write an entry atomically: a temp file, then a rename over the key."""
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-", suffix=".json")
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-", suffix=".pibt")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)

@@ -33,8 +33,9 @@ from .cache import BettiCache
 from .errors import PathIdealError
 from .formulas import betti_closed_form, gamma, pd_closed_form, reg_power
 from .linearity import QuotientCertificate, quasi_linear_check, quasi_linear_witness
-from .monomials import POWER_PRODUCT_CAP, format_monomial
+from .monomials import POWER_PRODUCT_CAP, Monomial, format_monomial
 from .oracle import DEFAULT_LATTICE_CAP
+from .path_ideals import Composition
 from .verify import (SweepConfig, VerificationReport, _CellState, emit_table,
                      run_sweep, sweep_cells)
 
@@ -137,25 +138,26 @@ def _cell(args) -> _CellState:
 def _cmd_gens(args) -> int:
     """gens prints the generators; power labels each with its composition."""
     cell = _cell(args)
-    pairs = cell.pairs() if cell.spec.num_generators else []
+    counts, rows = ([matrix.tolist() for matrix in cell.pairs()]
+                    if cell.spec.num_generators else ([], []))
     labelled = args.command == "power"
     if args.json:
         payload: dict = {"n": args.n, "t": args.t, "power": args.power}
         if labelled:
             payload["generators"] = [
-                {"parts": list(c.parts), "monomial": list(m.exponents)}
-                for c, m in pairs
+                {"parts": c, "monomial": e} for c, e in zip(counts, rows)
             ]
         else:
             # canonical ideal order: ascending exponent vectors
             payload["ambient"] = args.n
-            payload["generators"] = sorted(list(m.exponents) for _, m in pairs)
+            payload["generators"] = sorted(rows)
         _emit_json(payload, args.json)
         return 0
-    if not pairs:
+    if not rows:
         print("(0)")
-    for c, m in pairs:
-        print(f"{c} -> {format_monomial(m)}" if labelled else format_monomial(m))
+    for c, e in zip(counts, rows):
+        m = format_monomial(Monomial(tuple(e)))
+        print(f"{Composition(tuple(c))} -> {m}" if labelled else m)
     return 0
 
 
@@ -223,7 +225,7 @@ def _check_quasi(cell: _CellState) -> tuple[dict, str]:
         lines.append(f"  witness: colon into {generator} "
                      f"has non-variable generator {colon_generator}")
     if cell.t >= 2 and cell.n >= 2 * cell.t + 1:
-        w = quasi_linear_witness(cell.spec, cell.pairs())
+        w = quasi_linear_witness(cell.spec, *cell.pairs())
         excluded = format_monomial(w.excluded)
         colon = [format_monomial(g) for g in w.colon_generators]
         payload["break"] = {"excluded": excluded, "colon": colon,

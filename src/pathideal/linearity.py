@@ -14,14 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ColonFormMismatchError
-from .monomials import (
-    _CHUNK_BYTES,
-    Monomial,
-    MonomialIdeal,
-    _colon_of_rows,
-    _exponent_matrix,
-    mono_pow,
-)
+from .monomials import (_CHUNK_BYTES, Monomial, MonomialIdeal, _colon_of_rows,
+                        _lex_order, _monomial)
 from .path_ideals import Composition, PathIdealSpec, line_graph_generators
 
 __all__ = [
@@ -139,43 +133,44 @@ def _least_row(rows: np.ndarray) -> Monomial:
     proper divisor of a row is lexicographically smaller than it, so the
     least row has no divisor among the rows.
     """
-    return Monomial(tuple(rows[np.lexsort(rows.T[::-1])[0]].tolist()))
+    return _monomial(rows[_lex_order(rows)[0]])
 
 
 def linear_quotients_check(
-    spec: PathIdealSpec, pairs: list[tuple[Composition, Monomial]]
+    spec: PathIdealSpec, counts: np.ndarray, rows: np.ndarray
 ) -> QuotientCertificate | QuotientFailure:
     """Run the prefix-colon test over power generators in the order given.
 
-    pairs are the (composition, generator) pairs of a power of the spec's
-    ideal, in the order to certify; power_generators returns them in the
-    lexicographically decreasing one.  Each step colons one generator
-    against all earlier ones; success means every such colon is generated
-    by variables.  In the overlap regime t <= n <= 2t the brute-force
-    variable set must also match closed_form_colon, and a mismatch raises
-    ColonFormMismatchError.
+    counts and rows are the composition and exponent matrices of a power
+    of the spec's ideal, one product per row, in the order to certify;
+    power_generators returns them in the lexicographically decreasing one.
+    Each step colons one generator against all earlier ones; success means
+    every such colon is generated by variables.  In the overlap regime
+    t <= n <= 2t the brute-force variable set must also match
+    closed_form_colon, x_{l-1} for each position l >= 2 with a positive
+    part, and a mismatch raises ColonFormMismatchError.
     """
-    ordered = [c for c, _ in pairs]
-    check_closed_form = spec.t <= spec.n <= 2 * spec.t
-    E = _exponent_matrix((g for _, g in pairs), spec.n)
+    q, n = rows.shape
+    order = tuple(map(Composition, map(tuple, counts.tolist())))
+    predicted = None
+    if spec.t <= spec.n <= 2 * spec.t:
+        # one row of bools per step, one per variable, as _colon_steps holds them
+        predicted = np.zeros((q, n), dtype=bool)
+        predicted[:, : counts.shape[1] - 1] = counts[:, 1:] > 0
+        predicted = predicted.tolist()
     colon_vars: list[frozenset[int]] = []
-    counts: list[int] = []
-    for m, held, uncovered in _colon_steps(E, np.less, start=1):  # rows i < m
+    for m, held, uncovered in _colon_steps(rows, np.less, start=1):  # rows i < m
         if uncovered is not None:
             # the colon's first minimal generator of degree other than 1
-            offender = _least_row(uncovered)
-            return QuotientFailure(m + 1, ordered[m], offender)
+            return QuotientFailure(m + 1, order[m], _least_row(uncovered))
         found = frozenset(j + 1 for j, h in enumerate(held) if h)
-        if check_closed_form:
-            predicted = closed_form_colon(ordered[m])
-            if found != predicted:
-                raise ColonFormMismatchError(
-                    f"colon at position {m + 1} gave {sorted(found)}, "
-                    f"closed form predicts {sorted(predicted)}"
-                )
+        if predicted is not None and held != predicted[m]:
+            raise ColonFormMismatchError(
+                f"colon at position {m + 1} gave {sorted(found)}, "
+                f"closed form predicts {sorted(closed_form_colon(order[m]))}"
+            )
         colon_vars.append(found)
-        counts.append(len(found))
-    return QuotientCertificate(tuple(ordered), tuple(colon_vars), tuple(counts))
+    return QuotientCertificate(order, tuple(colon_vars), tuple(map(len, colon_vars)))
 
 
 def quasi_linear_check(ideal: MonomialIdeal) -> QuasiLinearResult:
@@ -185,26 +180,26 @@ def quasi_linear_check(ideal: MonomialIdeal) -> QuasiLinearResult:
     generators pass vacuously.  Generators are scanned in stored order and
     the first failure is returned as a witness.
     """
-    degs = set(ideal.generator_degrees())
-    if len(degs) > 1:
-        raise ValueError(f"mixed generator degrees {sorted(degs)}")
-    if len(ideal.generators) < 2:
+    E = ideal.exponents
+    degs = E.sum(axis=1)
+    if len(E) and degs.min() != degs.max():
+        raise ValueError(f"mixed generator degrees {np.unique(degs).tolist()}")
+    if len(E) < 2:
         return QuasiLinearResult(True, None)
-    E = _exponent_matrix(ideal.generators, ideal.ambient)
     for u, _, uncovered in _colon_steps(E, np.not_equal):
         if uncovered is not None:
             offender = _least_row(uncovered)
-            return QuasiLinearResult(False, (ideal.generators[u], offender))
+            return QuasiLinearResult(False, (_monomial(E[u]), offender))
     return QuasiLinearResult(True, None)
 
 
 def quasi_linear_witness(
-    spec: PathIdealSpec, pairs: list[tuple[Composition, Monomial]]
+    spec: PathIdealSpec, counts: np.ndarray, rows: np.ndarray
 ) -> QuasiLinearBreak:
     """Build the explicit quasi-linearity breaker for t >= 2 and n >= 2t + 1.
 
-    pairs are the (composition, generator) pairs of the power I^s, as
-    power_generators returns them; s is read from their compositions.
+    counts and rows are the composition and exponent matrices of the power
+    I^s, as power_generators returns them; s is read from the compositions.
     Excluding alpha = u_{n-t+1}^s, the colon of the remaining power
     generators by alpha has x_{n-t} as its only degree-one generator (it
     arises from u_{n-t} * u_{n-t+1}^{s-1}), yet x_{n-t} does not divide
@@ -212,22 +207,17 @@ def quasi_linear_witness(
     """
     if spec.t < 2 or spec.n < 2 * spec.t + 1:
         raise ValueError(f"need t >= 2 and n >= 2t+1, got n={spec.n}, t={spec.t}")
-    s = pairs[0][0].total
-    gens = line_graph_generators(spec)
-    alpha = mono_pow(gens[-1], s)
-    rest = _exponent_matrix(
-        (m for _, m in pairs if m.exponents != alpha.exponents), spec.n
-    )
-    colon = _colon_of_rows(rest, alpha)
-    degree_one = [g for g in colon.generators if g.degree == 1]
+    s = int(counts[0].sum())
+    lines = line_graph_generators(spec)
+    alpha = s * lines[-1]
+    colon = _colon_of_rows(rows[(rows != alpha).any(axis=1)], alpha)
     var = spec.n - spec.t
-    unique = len(degree_one) == 1 and degree_one[0].support() == frozenset({var})
-    first_power = mono_pow(gens[0], s)
-    misses = first_power.exponents[var - 1] == 0
+    degree_one = colon.exponents[colon.exponents.sum(axis=1) == 1]
+    unique = len(degree_one) == 1 and bool(degree_one[0, var - 1] == 1)
     return QuasiLinearBreak(
-        excluded=alpha,
+        excluded=_monomial(alpha),
         colon_generators=colon.generators,
         variable=var,
         unique_degree_one=unique,
-        variable_misses_first_power=misses,
+        variable_misses_first_power=bool(lines[0, var - 1] == 0),
     )

@@ -1,8 +1,8 @@
 """Exact arithmetic for monomials and monomial ideals in a fixed ambient ring.
 
 Monomials are dense exponent vectors over variables x1..xn.  Ideals store
-their unique minimal generating set, sorted lexicographically by exponent
-vector, so equal ideals compare equal structurally.
+their unique minimal generating set as an int64 exponent matrix, rows sorted
+lexicographically, so equal ideals compare equal structurally.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Iterable
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "Monomial",
     "MonomialIdeal",
     "format_monomial",
-    "mono_divides",
-    "mono_pow",
     "minimalize",
     "colon_by_monomial",
     "ideal_power",
@@ -72,10 +70,6 @@ class Monomial:
     def is_unit(self) -> bool:
         return not any(self.exponents)
 
-    def support(self) -> frozenset[int]:
-        """1-based indices of the variables dividing this monomial."""
-        return frozenset(i + 1 for i, e in enumerate(self.exponents) if e)
-
     def __str__(self) -> str:
         return format_monomial(self)
 
@@ -100,34 +94,20 @@ def _same_ambient(a: Monomial, b: Monomial) -> None:
         )
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    """True iff a divides b (componentwise <=)."""
-    _same_ambient(a, b)
-    return all(x <= y for x, y in zip(a.exponents, b.exponents))
-
-
-def mono_pow(a: Monomial, k: int) -> Monomial:
-    if k < 0:
-        raise ValueError("negative power")
-    if a.degree * k > EXPONENT_CAP:
-        raise ExponentOverflowError(
-            f"degree {a.degree * k} above cap {EXPONENT_CAP}"
-        )
-    return Monomial(tuple(e * k for e in a.exponents))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonomialIdeal:
     """A monomial ideal held as its minimal generating set.
 
-    Generators are pairwise incomparable under divisibility and sorted
-    lexicographically by exponent vector.  The zero ideal has no generators.
-    Build instances through minimalize() unless the input is already in this
-    canonical form, which is checked unless validate is False.
+    exponents is a read-only int64 matrix with one minimal generator per
+    row: the rows strictly increase lexicographically and no row divides
+    another.  The zero ideal has no rows.  Build instances through
+    minimalize() unless the rows are already in this canonical form, which
+    is checked unless validate is False.  generators gives the rows as
+    Monomials, built on first access, for printing.
     """
 
     ambient: int
-    generators: tuple[Monomial, ...]
+    exponents: np.ndarray
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool):
@@ -135,29 +115,36 @@ class MonomialIdeal:
             return
         if self.ambient < 0:
             raise ValueError("negative ambient")
-        seen: set[tuple[int, ...]] = set()
-        for g in self.generators:
-            if g.ambient != self.ambient:
-                raise AmbientMismatchError(
-                    f"generator ambient {g.ambient} != ideal ambient {self.ambient}"
-                )
-            if g.exponents in seen:
-                raise ValueError(f"duplicate generator {g}")
-            seen.add(g.exponents)
-        exps = [g.exponents for g in self.generators]
-        if exps != sorted(exps):
+        E = _as_rows(self.exponents, self.ambient).copy()
+        E.setflags(write=False)
+        object.__setattr__(self, "exponents", E)
+        S = E[_lex_order(E)]
+        same = (S[1:] == S[:-1]).all(axis=1)
+        if same.any():
+            raise ValueError(f"duplicate generator {_monomial(S[same.argmax()])}")
+        if not np.array_equal(S, E):
             raise ValueError("generators not sorted canonically")
-        minimal = _minimal_rows(exps)
-        if not all(minimal):
-            b = self.generators[minimal.index(False)]
-            a = next(g for g in self.generators if g != b and mono_divides(g, b))
-            raise ValueError(f"non-minimal generators {a}, {b}")
+        minimal = _minimal_rows(E)
+        if minimal is not None and not minimal.all():
+            b = E[minimal.argmin()]
+            a = E[((E <= b).all(axis=1) & (E != b).any(axis=1)).argmax()]
+            raise ValueError(f"non-minimal generators {_monomial(a)}, {_monomial(b)}")
+
+    @cached_property
+    def generators(self) -> tuple[Monomial, ...]:
+        return tuple(map(Monomial, map(tuple, self.exponents.tolist())))
 
     def is_zero(self) -> bool:
-        return not self.generators
+        return not len(self.exponents)
 
-    def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree for g in self.generators)
+    def __eq__(self, other):
+        if not isinstance(other, MonomialIdeal):
+            return NotImplemented
+        return self.ambient == other.ambient and np.array_equal(self.exponents,
+                                                                other.exponents)
+
+    def __hash__(self):
+        return hash((self.ambient, len(self.exponents), self.exponents.tobytes()))
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -165,75 +152,103 @@ class MonomialIdeal:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 
 
-def minimalize(gens: Iterable[Monomial], ambient: int | None = None) -> MonomialIdeal:
-    """Drop duplicates and any generator divisible by another one.
+def _monomial(row: np.ndarray) -> Monomial:
+    return Monomial(tuple(row.tolist()))
 
-    The ambient is inferred from the generators; pass it explicitly to build
-    the zero ideal from an empty iterable.
+
+def _as_rows(rows, ambient: int) -> np.ndarray:
+    """rows as an int64 matrix of ambient columns, checked as Monomial checks."""
+    E = np.asarray(rows)
+    if E.ndim == 1 and not E.size:
+        E = E.reshape(0, ambient)  # no generators
+    if E.ndim != 2:
+        raise ValueError(f"exponent matrix of {E.ndim} dimensions")
+    if E.shape[1] != ambient:
+        raise AmbientMismatchError(
+            f"generator ambient {E.shape[1]} != ideal ambient {ambient}"
+        )
+    if E.size and E.dtype.kind not in "iu":
+        raise ValueError(f"exponents must be integers, not {E.dtype}")
+    E = E.astype(np.int64, copy=False)
+    # negative exponents read as unsigned are above the cap too
+    if E.size and E.view(np.uint64).max() > EXPONENT_CAP:
+        _monomial(E[((E < 0) | (E > EXPONENT_CAP)).any(axis=1).argmax()])  # raises
+    return E
+
+
+def _lex_order(E: np.ndarray) -> np.ndarray:
+    """The permutation that sorts the rows of E lexicographically."""
+    if not E.shape[1]:
+        return np.arange(len(E))
+    return np.lexsort(E.T[::-1])
+
+
+def minimalize(gens, ambient: int | None = None) -> MonomialIdeal:
+    """The ideal generated by gens: duplicates and divisible generators dropped.
+
+    gens is an integer matrix with one exponent vector per row, or an
+    iterable of Monomials.  The ambient is the width of the matrix or of the
+    Monomials; pass it explicitly to build the zero ideal from no Monomials.
+    The rows are sorted with one lexsort, duplicates dropped by comparing
+    neighbours, and the minimal ones kept.
     """
-    gens = list(gens)
-    if not gens:
-        if ambient is None:
+    if not isinstance(gens, np.ndarray):
+        gens = list(gens)
+        if not gens and ambient is None:
             raise ValueError("ambient required for an empty generating set")
-        return MonomialIdeal(ambient, ())
-    amb = gens[0].ambient
+        for g in gens[1:]:
+            _same_ambient(gens[0], g)
+        width = gens[0].ambient if gens else ambient
+        gens = np.array([g.exponents for g in gens], dtype=np.int64).reshape(
+            len(gens), width)
+    amb = gens.shape[-1] if gens.ndim else 0
     if ambient is not None and ambient != amb:
         raise AmbientMismatchError(f"ambient mismatch: {ambient} vs {amb}")
-    for g in gens[1:]:
-        _same_ambient(gens[0], g)
-    by_exps = {g.exponents: g for g in gens}
-    ordered = sorted(by_exps)
-    kept = [by_exps[e] for e, keep in zip(ordered, _minimal_rows(ordered)) if keep]
-    # Sorted, distinct, one ambient and minimal by construction.
-    return MonomialIdeal(amb, tuple(kept), validate=False)
+    E = _as_rows(gens, amb)
+    S = E[_lex_order(E)]
+    fresh = (S[1:] != S[:-1]).any(axis=1)
+    if not fresh.all():
+        S = S[np.concatenate(([True], fresh))]
+    minimal = _minimal_rows(S)
+    if minimal is not None:
+        S = S[minimal]
+    S.setflags(write=False)
+    # Sorted, distinct and minimal by construction.
+    return MonomialIdeal(amb, S, validate=False)
 
 
-def _minimal_rows(exps: list[tuple[int, ...]]) -> list[bool]:
+def _minimal_rows(E: np.ndarray) -> np.ndarray | None:
     """For distinct exponent vectors: True where no other vector divides it.
 
-    A proper divisor has a smaller degree, so each degree level is compared
-    only with the minimal vectors of the lower levels, a chunk of rows at a
-    time within _CHUNK_BYTES.  Vectors of a single degree need no comparison.
+    A proper divisor has a smaller degree, so the rows are taken in
+    increasing degree, and each degree level is compared only with the
+    minimal rows of the lower levels, a chunk of rows at a time within
+    _CHUNK_BYTES.  Vectors of a single degree need no comparison: for them
+    the result is None, which means that every row is minimal.
     """
-    degrees = [sum(e) for e in exps]
-    levels = sorted(set(degrees))
-    if len(levels) < 2:
-        return [True] * len(exps)
-    E = np.array(exps, dtype=np.int64)
-    deg = np.array(degrees)
-    minimal = np.ones(len(exps), dtype=bool)
-    below = E[deg == levels[0]]
-    for d in levels[1:]:
-        rows = np.flatnonzero(deg == d)
-        step = max(1, _CHUNK_BYTES // below.size)
-        for lo in range(0, rows.size, step):
-            part = rows[lo : lo + step]
-            divided = (below <= E[part, None, :]).all(axis=2).any(axis=1)
-            minimal[part] = ~divided
-        below = np.concatenate([below, E[rows[minimal[rows]]]])
-    return minimal.tolist()
+    deg = E.sum(axis=1)
+    if not deg.size or deg.min() == deg.max():
+        return None
+    order = np.argsort(deg, kind="stable")
+    D, deg = E[order], deg[order]
+    starts = (np.flatnonzero(deg[1:] != deg[:-1]) + 1).tolist()  # of each level
+    kept = np.ones(len(E), dtype=bool)
+    below = D[: starts[0]]
+    for lo, hi in zip(starts, starts[1:] + [len(D)]):
+        step = max(1, _CHUNK_BYTES // max(below.size, 1))
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            kept[a:b] = ~(below <= D[a:b, None, :]).all(axis=2).any(axis=1)
+        if hi < len(D):
+            below = np.concatenate((below, D[lo:hi][kept[lo:hi]]))
+    minimal = np.empty(len(E), dtype=bool)
+    minimal[order] = kept
+    return minimal
 
 
-def _exponent_matrix(gens: Iterable[Monomial], ambient: int) -> np.ndarray:
-    """The exponent vectors of gens as the rows of an int64 matrix."""
-    rows = [g.exponents for g in gens]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), ambient)
-
-
-def _ideal_of_rows(rows: np.ndarray, ambient: int) -> MonomialIdeal:
-    """The ideal generated by the rows of an exponent matrix, minimalized.
-
-    Monomials are built only for the minimal rows.
-    """
-    ordered = sorted(set(map(tuple, rows.tolist())))
-    kept = [Monomial(e) for e, keep in zip(ordered, _minimal_rows(ordered)) if keep]
-    return MonomialIdeal(ambient, tuple(kept), validate=False)
-
-
-def _colon_of_rows(rows: np.ndarray, m: Monomial) -> MonomialIdeal:
-    """The colon by m of the ideal generated by the rows of an exponent matrix."""
-    quotients = np.maximum(rows - np.array(m.exponents, dtype=np.int64), 0)
-    return _ideal_of_rows(quotients, m.ambient)
+def _colon_of_rows(rows: np.ndarray, m: np.ndarray) -> MonomialIdeal:
+    """The colon by the exponent vector m of the ideal the rows generate."""
+    return minimalize(np.maximum(rows - m, 0), len(m))
 
 
 def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
@@ -242,7 +257,7 @@ def colon_by_monomial(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
         raise AmbientMismatchError(
             f"ambient mismatch: {m.ambient} vs {ideal.ambient}"
         )
-    return _colon_of_rows(_exponent_matrix(ideal.generators, ideal.ambient), m)
+    return _colon_of_rows(ideal.exponents, np.array(m.exponents, dtype=np.int64))
 
 
 def _power_products(E: np.ndarray, s: int, max_products: int):
@@ -263,17 +278,18 @@ def _power_products(E: np.ndarray, s: int, max_products: int):
             count=count,
         )
     degrees = E.sum(axis=1)
+    # no product is over the cap unless s copies of the largest one are
+    bounded = s == 1 or s * int(degrees.max()) <= EXPONENT_CAP
     combos = itertools.combinations_with_replacement(range(q), s)
     step = max(1, _CHUNK_BYTES // (8 * (s * n + q)))
-    while True:
+    for lo in range(0, count, step):
         flat = itertools.chain.from_iterable(itertools.islice(combos, step))
-        idx = np.fromiter(flat, dtype=np.intp).reshape(-1, s)
-        if not idx.size:
-            return
-        over = np.flatnonzero(degrees[idx].sum(axis=1) > EXPONENT_CAP)
-        if s > 1 and over.size:
+        size = min(step, count - lo)
+        idx = np.fromiter(flat, dtype=np.intp, count=size * s).reshape(size, s)
+        over = [] if bounded else degrees[idx].sum(axis=1) > EXPONENT_CAP
+        if np.any(over):
             # name the first partial product over the cap
-            partial = list(itertools.accumulate(degrees[idx[over[0]]].tolist()))
+            partial = list(itertools.accumulate(degrees[idx[over.argmax()]].tolist()))
             first = next(d for d in partial[1:] if d > EXPONENT_CAP)
             raise ExponentOverflowError(f"degree {first} above cap {EXPONENT_CAP}")
         cells = idx + q * np.arange(len(idx))[:, None]  # flat (product, factor)
@@ -293,6 +309,5 @@ def ideal_power(
         raise ValueError(f"power must be >= 1, got {s}")
     if ideal.is_zero():
         return ideal
-    E = _exponent_matrix(ideal.generators, ideal.ambient)
-    products = [rows for _, rows in _power_products(E, s, max_products)]
-    return _ideal_of_rows(np.concatenate(products), ideal.ambient)
+    products = [rows for _, rows in _power_products(ideal.exponents, s, max_products)]
+    return minimalize(np.concatenate(products), ideal.ambient)

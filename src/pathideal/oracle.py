@@ -571,8 +571,7 @@ def lcm_lattice(
     """
     if ideal.is_zero():
         return []
-    G = np.array([g.exponents for g in ideal.generators], dtype=np.int64)
-    lat = _lcm_lattice_encoded(G, cap)
+    lat = _lcm_lattice_encoded(ideal.exponents, cap)
     return [Monomial(tuple(int(x) for x in row)) for row in lat]
 
 
@@ -708,17 +707,17 @@ class BettiTable:
         return "\n".join(lines)
 
 
-def _shift_closed(gens: list[tuple[int, ...]]) -> bool:
-    """Whether the generators are closed under translation along the path.
+def _shift_closed(G: np.ndarray) -> bool:
+    """Whether the generators, the rows of G, are closed under translation.
 
     That is: there are two or more variables, no generator is 1, and
     shifting the generators with g_1 = 0 one place left gives exactly those
     with g_n = 0.  Generators are sorted, and the shift keeps their order.
     """
-    return (
-        len(gens[0]) > 1
-        and all(map(any, gens))
-        and [g[1:] + (0,) for g in gens if g[0] == 0] == [g for g in gens if g[-1] == 0]
+    return bool(
+        G.shape[1] > 1
+        and G.any(axis=1).all()
+        and np.array_equal(np.roll(G[G[:, 0] == 0], -1, axis=1), G[G[:, -1] == 0])
     )
 
 
@@ -812,11 +811,11 @@ def betti_table(
     if ideal.is_zero():
         return BettiTable(ideal.ambient, p, (), (), ())
     n = ideal.ambient
-    gens = [g.exponents for g in ideal.generators]
-    G = np.array(gens, dtype=np.int64)
-    shift = _shift_closed(gens)
+    G = ideal.exponents
+    shift = _shift_closed(G)
     lat = _lcm_lattice_encoded(G, lattice_cap, prune=True, anchored=shift)
-    mirror = n > 1 and sorted(g[::-1] for g in gens) == gens
+    # reversing the variables maps the sorted rows onto themselves
+    mirror = n > 1 and np.array_equal(G[np.lexsort(G.T), ::-1], G)
     if mirror:
         lat = lat[_mirror_half(lat, _spans(lat, shift))]
     # each walked point with homology, and its (point's row, i, rank)

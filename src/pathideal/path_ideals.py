@@ -4,22 +4,20 @@ For a path graph on vertices x1..xn, the t-path ideal is generated by the
 monomials u_i = x_i * x_{i+1} * ... * x_{i+t-1} for i = 1..n-t+1.  Every
 minimal generator of the s-th power is u_1^{a_1} * ... * u_k^{a_k} for
 exactly one composition (a_1, ..., a_k) of s into k = n-t+1 parts: the
-multiplicities of the factors of an s-fold product of generators.
+multiplicities of the factors of an s-fold product of generators.  Both are
+carried as int64 matrices, one row per product; a Composition is built only
+to report one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .monomials import (
-    POWER_PRODUCT_CAP,
-    Monomial,
-    MonomialIdeal,
-    _exponent_matrix,
-    _power_products,
-    minimalize,
-)
+import numpy as np
+
+from .monomials import POWER_PRODUCT_CAP, MonomialIdeal, _power_products
 
 __all__ = [
     "PathIdealSpec",
@@ -62,28 +60,28 @@ class Composition:
         if min(self.parts) < 0:
             raise ValueError(f"negative part in {self.parts!r}")
 
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
-def line_graph_generators(spec: PathIdealSpec) -> list[Monomial]:
-    """The path monomials u_1, ..., u_{n-t+1}; empty when n < t."""
-    gens = []
-    for i in range(spec.num_generators):
-        exps = [0] * spec.n
-        for j in range(i, i + spec.t):
-            exps[j] = 1
-        gens.append(Monomial(tuple(exps)))
-    return gens
+@lru_cache(maxsize=256)
+def line_graph_generators(spec: PathIdealSpec) -> np.ndarray:
+    """The path monomials u_1, ..., u_{n-t+1}, one exponent row each.
+
+    A read-only int64 (n - t + 1, n) matrix, shared by the callers of one
+    spec; it has no rows when n < t.
+    """
+    at = np.arange(spec.n) - np.arange(spec.num_generators)[:, None]
+    rows = ((at >= 0) & (at < spec.t)).astype(np.int64)
+    rows.setflags(write=False)
+    return rows
 
 
 def path_ideal(spec: PathIdealSpec) -> MonomialIdeal:
-    """The t-path ideal itself; the zero ideal when n < t."""
-    return minimalize(line_graph_generators(spec), ambient=spec.n)
+    """The t-path ideal itself; the zero ideal when n < t.  u_{n-t+1} < ... < u_1."""
+    rows = line_graph_generators(spec)[::-1].copy()
+    rows.setflags(write=False)
+    return MonomialIdeal(spec.n, rows, validate=False)
 
 
 def composition_count(total: int, k: int) -> int:
@@ -95,21 +93,21 @@ def composition_count(total: int, k: int) -> int:
 
 def power_generators(
     spec: PathIdealSpec, s: int, max_count: int = POWER_PRODUCT_CAP
-) -> list[tuple[Composition, Monomial]]:
-    """Minimal generators of the s-th power, paired with their compositions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The s-fold products of u_1, ..., u_{n-t+1}, as two read-only int64 matrices.
 
-    Each s-fold product of u_1, ..., u_{n-t+1} is read with its composition,
-    the multiplicities of its factors, in lexicographically decreasing
-    composition order: the first entry is u_1^s and the last u_{n-t+1}^s.
+    Row r of the first is the composition of product r, the multiplicities
+    of its factors, and row r of the second its exponent vector, a minimal
+    generator of the s-th power.  Rows come in lexicographically decreasing
+    composition order: the first is u_1^s and the last u_{n-t+1}^s.
     Requires n >= t and s >= 1; the caps are those of ideal_power.
     """
     if s < 1:
         raise ValueError(f"power must be >= 1, got {s}")
     if spec.num_generators == 0:
         raise ValueError(f"zero ideal: n={spec.n} < t={spec.t}")
-    E = _exponent_matrix(line_graph_generators(spec), spec.n)
-    pairs: list[tuple[Composition, Monomial]] = []
-    for counts, rows in _power_products(E, s, max_count):
-        pairs += zip(map(Composition, map(tuple, counts.tolist())),
-                     map(Monomial, map(tuple, rows.tolist())))
-    return pairs
+    chunks = list(_power_products(line_graph_generators(spec), s, max_count))
+    counts, rows = (np.concatenate(part) for part in zip(*chunks))
+    for matrix in (counts, rows):
+        matrix.setflags(write=False)
+    return counts, rows

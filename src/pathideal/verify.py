@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator
 
+import numpy as np
+
 from ._version import __version__
 from .cache import BettiCache, cached_betti_table, resolve_cache_dir
 from .errors import ColonFormMismatchError, PathIdealError, SizeCapExceededError
@@ -36,20 +38,11 @@ from .linearity import (
     quasi_linear_check,
     quasi_linear_witness,
 )
-from .monomials import (
-    POWER_PRODUCT_CAP,
-    colon_by_monomial,
-    ideal_power,
-    minimalize,
-)
+from .monomials import (POWER_PRODUCT_CAP, Monomial, colon_by_monomial, ideal_power,
+                        minimalize)
 from .oracle import DEFAULT_LATTICE_CAP, BettiTable, FieldSpec
-from .path_ideals import (
-    PathIdealSpec,
-    composition_count,
-    line_graph_generators,
-    path_ideal,
-    power_generators,
-)
+from .path_ideals import (PathIdealSpec, composition_count, line_graph_generators,
+                          path_ideal, power_generators)
 
 __all__ = [
     "SweepConfig",
@@ -249,19 +242,12 @@ class _CellState:
         """I^s, minimalized from the cell's own products; (0) when n < t."""
         if not self.spec.num_generators:
             return path_ideal(self.spec)
-        return self._get(
-            "power",
-            lambda: minimalize((m for _, m in self.pairs()), ambient=self.n),
-        )
-
-    def lines(self):
-        """u_1, ..., u_{n-t+1}, for the colon_lemma and reg_augmented_j rows."""
-        return self._get("lines", lambda: line_graph_generators(self.spec))
+        return self._get("power", lambda: minimalize(self.pairs()[1]))
 
     def quotients(self):
         # from the cell's capped pairs, so the power cap skips these rows too
         return self._get(
-            "quotients", lambda: linear_quotients_check(self.spec, self.pairs())
+            "quotients", lambda: linear_quotients_check(self.spec, *self.pairs())
         )
 
     def table(self, p: int, j: int | None = None) -> BettiTable:
@@ -276,8 +262,8 @@ class _CellState:
         def build() -> BettiTable:
             ideal = self.power_ideal()
             if j is not None:
-                extra = tuple(self.lines()[j - 1 :])
-                ideal = minimalize(ideal.generators + extra, ambient=self.n)
+                lines = line_graph_generators(self.spec)[j - 1 :]
+                ideal = minimalize(np.concatenate((ideal.exponents, lines)))
             return cached_betti_table(ideal, FieldSpec(p), self.cache, self.lattice_cap)
 
         return self._get(("table", j, p), build)
@@ -298,12 +284,12 @@ class _Quantity:
 def _generators(state: _CellState) -> Any:
     # Distinct and pairwise incomparable products are all minimal, so each
     # minimal generator of I^s has exactly one composition.
-    pairs = state.pairs()
-    if len({m.exponents for _, m in pairs}) != len(pairs):
+    _, rows = state.pairs()
+    if len(state.power_ideal().exponents) == len(rows):
+        return len(rows)
+    if len(np.unique(rows, axis=0)) != len(rows):
         return "duplicate power generators"
-    if len(state.power_ideal().generators) != len(pairs):
-        return "a power generator divides another"
-    return len(pairs)
+    return "a power generator divides another"
 
 
 def _read(p: int, read: Callable[[BettiTable], Any], state: _CellState) -> Any:
@@ -344,7 +330,7 @@ def _quasi_linear(state: _CellState) -> bool:
 
 
 def _witness(state: _CellState) -> str:
-    w = quasi_linear_witness(state.spec, state.pairs())
+    w = quasi_linear_witness(state.spec, *state.pairs())
     if not w.valid:
         return "witness facts violated"
     if any(g.degree != 1 for g in w.colon_generators):
@@ -353,7 +339,7 @@ def _witness(state: _CellState) -> str:
 
 
 def _colon_lemma(state: _CellState) -> bool:
-    u_last = state.lines()[-1]
+    u_last = Monomial(tuple(line_graph_generators(state.spec)[-1].tolist()))
     lower = ideal_power(
         path_ideal(state.spec), state.s - 1, max_products=state.power_cap
     )
@@ -484,11 +470,15 @@ def run_sweep(cfg: SweepConfig) -> VerificationReport:
 
 
 def _render_cell(value: Any) -> str:
-    """CSV rendering: JSON forms for structured values, bare text otherwise."""
+    """CSV rendering: bare text for strings, JSON forms for everything else."""
     if value is None:
         return ""
     if isinstance(value, str):
         return value
+    if type(value) is int:  # ints and bools as json.dumps writes them, but faster
+        return str(value)
+    if type(value) is bool:
+        return "true" if value else "false"
     return json.dumps(value, separators=(",", ":"))
 
 

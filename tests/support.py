@@ -1,8 +1,12 @@
 """Shared test helpers: monomial shorthands and reference routes.
 
-m parses the text form that format_monomial renders; mono_mul,
-mono_quotient and contains are the one-Monomial-at-a-time arithmetic the
-object routes are built from.
+m parses the text form that format_monomial renders; mono_divides,
+mono_pow, support, mono_mul, mono_quotient and contains are the
+one-Monomial-at-a-time arithmetic the object routes are built from.
+
+minimalize_by_tuples is the tuple route of minimalize, a dict of exponent
+tuples and their sorted list, against which the array route is checked.
+json_cache_key is the cache key of earlier releases.
 
 The object routes are the library's colon, power and linearity algorithms
 as loops over Monomial objects, one colon step and one product at a time,
@@ -24,7 +28,9 @@ gfp_rank.  It is meant for ideals with at most about 10 generators.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import math
 import re
 from contextlib import contextmanager
@@ -49,7 +55,6 @@ from pathideal.monomials import (
     MonomialIdeal,
     _same_ambient,
     minimalize,
-    mono_divides,
 )
 import pathideal.oracle as oracle_mod
 from pathideal.oracle import BettiTable, gfp_rank
@@ -77,6 +82,27 @@ def m(text: str, ambient: int) -> Monomial:
     return Monomial(tuple(exps))
 
 
+def mono_divides(a: Monomial, b: Monomial) -> bool:
+    """True iff a divides b (componentwise <=)."""
+    _same_ambient(a, b)
+    return all(x <= y for x, y in zip(a.exponents, b.exponents))
+
+
+def mono_pow(a: Monomial, k: int) -> Monomial:
+    if k < 0:
+        raise ValueError("negative power")
+    if a.degree * k > EXPONENT_CAP:
+        raise ExponentOverflowError(
+            f"degree {a.degree * k} above cap {EXPONENT_CAP}"
+        )
+    return Monomial(tuple(e * k for e in a.exponents))
+
+
+def support(a: Monomial) -> frozenset[int]:
+    """1-based indices of the variables dividing a."""
+    return frozenset(i + 1 for i, e in enumerate(a.exponents) if e)
+
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     _same_ambient(a, b)
     exps = tuple(x + y for x, y in zip(a.exponents, b.exponents))
@@ -101,8 +127,44 @@ def ideal(texts: list[str], ambient: int) -> MonomialIdeal:
 
 
 def power(n: int, t: int, s: int) -> MonomialIdeal:
-    gens = [mono for _, mono in power_generators(PathIdealSpec(n, t), s)]
-    return minimalize(gens, ambient=n)
+    return minimalize(power_generators(PathIdealSpec(n, t), s)[1])
+
+
+def minimalize_by_tuples(gens, ambient: int | None = None) -> MonomialIdeal:
+    """minimalize over a dict of exponent tuples and their sorted list."""
+    gens = list(gens)
+    if not gens:
+        if ambient is None:
+            raise ValueError("ambient required for an empty generating set")
+        return MonomialIdeal(ambient, ())
+    amb = gens[0].ambient
+    for g in gens[1:]:
+        _same_ambient(gens[0], g)
+    by_exps = {g.exponents: g for g in gens}
+    ordered = sorted(by_exps)
+    kept = [e for e, keep in zip(ordered, minimal_by_levels(ordered)) if keep]
+    return MonomialIdeal(amb, kept)
+
+
+def ideal_of_rows_by_tuples(rows: np.ndarray, ambient: int) -> MonomialIdeal:
+    """The ideal the rows of an exponent matrix generate, through tuples."""
+    return minimalize_by_tuples(map(Monomial, map(tuple, rows.tolist())), ambient)
+
+
+def minimal_by_levels(exps: list[tuple[int, ...]]) -> list[bool]:
+    """For distinct exponent tuples: True where no other tuple divides it.
+
+    Each degree level is compared with the minimal tuples of the lower ones.
+    """
+    degrees = [sum(e) for e in exps]
+    minimal = [True] * len(exps)
+    below: list[tuple[int, ...]] = []
+    for d in sorted(set(degrees)):
+        level = [k for k, deg in enumerate(degrees) if deg == d]
+        for k in level:
+            minimal[k] = not any(all(map(int.__le__, a, exps[k])) for a in below)
+        below += [exps[k] for k in level if minimal[k]]
+    return minimal
 
 
 def compositions_desc(total: int, k: int) -> Iterator[Composition]:
@@ -149,9 +211,21 @@ def power_generators_by_compositions(
     ]
 
 
+def pairs_of(counts: np.ndarray, rows: np.ndarray) -> list[tuple[Composition, Monomial]]:
+    """The (composition, generator) objects of power_generators' two matrices."""
+    return [(Composition(tuple(c)), Monomial(tuple(e)))
+            for c, e in zip(counts.tolist(), rows.tolist())]
+
+
+def matrices_of(pairs: list[tuple[Composition, Monomial]]) -> tuple[np.ndarray, np.ndarray]:
+    """The composition and exponent matrices of (composition, generator) pairs."""
+    counts = np.array([c.parts for c, _ in pairs], dtype=np.int64)
+    return counts, np.array([g.exponents for _, g in pairs], dtype=np.int64)
+
+
 def colon_by_objects(ideal: MonomialIdeal, m: Monomial) -> MonomialIdeal:
     """I : m, minimalized from the quotients g / gcd(g, m)."""
-    return minimalize(
+    return minimalize_by_tuples(
         (mono_quotient(g, m) for g in ideal.generators), ambient=ideal.ambient
     )
 
@@ -173,7 +247,7 @@ def power_by_objects(ideal: MonomialIdeal, s: int, max_products: int) -> Monomia
         for g in combo[1:]:
             acc = mono_mul(acc, g)
         products.append(acc)
-    return minimalize(products, ambient=ideal.ambient)
+    return minimalize_by_tuples(products, ambient=ideal.ambient)
 
 
 def linear_quotients_by_objects(
@@ -186,11 +260,11 @@ def linear_quotients_by_objects(
     colon_vars, counts = [], []
     for k in range(1, len(ordered)):
         quotients = (mono_quotient(monos[i], monos[k]) for i in range(k))
-        colon = minimalize(quotients, ambient=spec.n)
+        colon = minimalize_by_tuples(quotients, ambient=spec.n)
         for g in colon.generators:
             if g.degree != 1:
                 return QuotientFailure(k + 1, ordered[k], g)
-        found = frozenset(next(iter(g.support())) for g in colon.generators)
+        found = frozenset(next(iter(support(g))) for g in colon.generators)
         if check_closed_form:
             predicted = closed_form_colon(ordered[k])
             if found != predicted:
@@ -208,7 +282,7 @@ def quasi_linear_by_objects(ideal: MonomialIdeal) -> QuasiLinearResult:
     if len(ideal.generators) < 2:
         return QuasiLinearResult(True, None)
     for u in ideal.generators:
-        rest = minimalize(
+        rest = minimalize_by_tuples(
             (g for g in ideal.generators if g != u), ambient=ideal.ambient
         )
         for g in colon_by_objects(rest, u).generators:
@@ -274,6 +348,19 @@ def betti_via_public_route(i: MonomialIdeal, p: int) -> dict:
         dims = reduced_homology(koszul_by_definition(i, Monomial(b)), p)
         entries.update({(idx, b): h for idx, h in enumerate(dims) if h})
     return entries
+
+
+def json_cache_key(ideal: MonomialIdeal, characteristic: int, lattice_cap: int) -> str:
+    """The cache key of earlier releases: SHA-256 over a canonical JSON payload."""
+    payload = {
+        "ambient": ideal.ambient,
+        "char": characteristic,
+        "generators": [g.exponents for g in ideal.generators],
+        "lattice_cap": lattice_cap,
+        "oracle_version": oracle_mod.ORACLE_VERSION,
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def table_of(ambient: int, p: int, entries: Mapping) -> BettiTable:

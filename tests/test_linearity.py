@@ -17,37 +17,45 @@ from pathideal.linearity import (
     quasi_linear_witness,
     _least_row,
 )
-from pathideal.monomials import _ideal_of_rows, minimalize
+from pathideal.monomials import minimalize
 from pathideal.path_ideals import (
     Composition,
     PathIdealSpec,
     power_generators,
 )
-from support import m, mono_quotient, power
+from support import (
+    ideal_of_rows_by_tuples,
+    m,
+    minimalize_by_tuples,
+    mono_quotient,
+    pairs_of,
+    power,
+    support,
+)
 
 
 def certify(n, t, s):
     spec = PathIdealSpec(n, t)
-    return linear_quotients_check(spec, power_generators(spec, s))
+    return linear_quotients_check(spec, *power_generators(spec, s))
 
 
 def witness(n, t, s):
     spec = PathIdealSpec(n, t)
-    return quasi_linear_witness(spec, power_generators(spec, s))
+    return quasi_linear_witness(spec, *power_generators(spec, s))
 
 
 def naive_prefix_colon_vars(spec, s):
     """Independent per-step prefix colons, minimalized from raw quotients."""
-    monos = [mono for _, mono in power_generators(spec, s)]
+    monos = [m for _, m in pairs_of(*power_generators(spec, s))]
     out = []
     for j in range(1, len(monos)):
-        colon = minimalize(
+        colon = minimalize_by_tuples(
             [mono_quotient(monos[i], monos[j]) for i in range(j)],
             ambient=spec.n,
         )
         if any(g.degree != 1 for g in colon.generators):
             return None
-        out.append(frozenset(min(g.support()) for g in colon.generators))
+        out.append(frozenset(min(support(g)) for g in colon.generators))
     return out
 
 
@@ -127,7 +135,8 @@ def test_explicit_bad_order_reports_failure_position():
     # the composition-based closed form, which must raise loudly.
     spec = PathIdealSpec(4, 2)
     with pytest.raises(ColonFormMismatchError):
-        linear_quotients_check(spec, power_generators(spec, 1)[::-1])
+        counts, rows = power_generators(spec, 1)
+        linear_quotients_check(spec, counts[::-1], rows[::-1])
 
 
 # ---------------------------------------------------------------- quasi-linearity
@@ -208,7 +217,7 @@ def test_least_row_is_the_first_minimal_generator():
         )
         if count > 2 and rng.random() < 0.5:
             rows[rng.randrange(1, count)] = rows[0]  # a duplicate row
-        assert _least_row(rows) == _ideal_of_rows(rows, ambient).generators[0]
+        assert _least_row(rows) == ideal_of_rows_by_tuples(rows, ambient).generators[0]
     # A single row, and rows that only differ in the last column.
     assert _least_row(np.array([[2, 0, 1]])) == m("x1^2*x3", 3)
     assert _least_row(np.array([[1, 1, 2], [1, 1, 1], [1, 1, 1]])) == m("x1*x2*x3", 3)

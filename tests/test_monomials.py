@@ -5,8 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathideal.monomials as monomials_mod
@@ -23,11 +24,19 @@ from pathideal.monomials import (
     format_monomial,
     ideal_power,
     minimalize,
-    mono_divides,
-    mono_pow,
 )
 from pathideal.oracle import lcm_lattice
-from support import contains, ideal, m, mono_mul, mono_quotient
+from support import (
+    contains,
+    ideal,
+    m,
+    minimalize_by_tuples,
+    mono_divides,
+    mono_mul,
+    mono_pow,
+    mono_quotient,
+    support,
+)
 
 
 # ---------------------------------------------------------------- naive oracles
@@ -101,7 +110,7 @@ def test_monomial_accessors():
     a = m("x1^2*x3", 3)
     assert a.ambient == 3
     assert a.degree == 3
-    assert a.support() == frozenset({1, 3})
+    assert support(a) == frozenset({1, 3})
     assert not a.is_unit()
     assert Monomial((0, 0, 0)).is_unit()
     assert str(Monomial((0, 1, 0))) == "x2"
@@ -130,16 +139,32 @@ def test_parse_rejects_bad_input():
 
 
 def test_ideal_canonical_form_is_validated():
-    x4, u1 = m("x4", 4), m("x1*x2*x3", 4)
-    MonomialIdeal(4, (x4, u1))  # canonical: ascending exponent tuples
-    with pytest.raises(ValueError):
-        MonomialIdeal(4, (u1, x4))  # wrong order
-    with pytest.raises(ValueError, match="non-minimal generators x4, x3\\*x4"):
-        MonomialIdeal(4, (m("x4", 4), m("x3*x4", 4)))
-    with pytest.raises(ValueError):
-        MonomialIdeal(4, (x4, x4))  # duplicate
+    x4, u1 = (0, 0, 0, 1), (1, 1, 1, 0)
+    i = MonomialIdeal(4, [x4, u1])  # canonical: ascending exponent rows
+    assert i.generators == (m("x4", 4), m("x1*x2*x3", 4))
+    assert i.exponents.dtype == np.int64 and not i.exponents.flags.writeable
+    with pytest.raises(ValueError, match="^generators not sorted canonically$"):
+        MonomialIdeal(4, [u1, x4])
+    with pytest.raises(ValueError, match="^non-minimal generators x4, x3\\*x4$"):
+        MonomialIdeal(4, [x4, (0, 0, 1, 1)])
+    with pytest.raises(ValueError, match="^duplicate generator x4$"):
+        MonomialIdeal(4, np.array([x4, u1, x4], dtype=np.int32))
     with pytest.raises(AmbientMismatchError):
-        MonomialIdeal(4, (m("x1", 3),))
+        MonomialIdeal(4, [(1, 0, 0)])
+    with pytest.raises(ValueError, match="negative exponent"):
+        MonomialIdeal(2, [(0, -1)])
+    with pytest.raises(ExponentOverflowError):
+        MonomialIdeal(1, [(EXPONENT_CAP + 1,)])
+    with pytest.raises(ValueError, match="integers"):
+        MonomialIdeal(1, [(0.5,)])
+
+
+def test_ideal_copies_its_input():
+    rows = np.array([[0, 1], [1, 0]])
+    i = MonomialIdeal(2, rows)
+    rows[0, 0] = 5
+    same = minimalize([m("x2", 2), m("x1", 2)])
+    assert i == same and hash(i) == hash(same)
 
 
 def test_zero_ideal():
@@ -191,10 +216,10 @@ def test_minimalize_checks_minimality_once(monkeypatch):
     assert passes == [4]
     # A direct construction still validates, in one pass.
     passes.clear()
-    assert MonomialIdeal(2, i.generators) == i
+    assert MonomialIdeal(2, i.exponents) == i
     assert passes == [2]
     with pytest.raises(ValueError, match="non-minimal"):
-        MonomialIdeal(2, (m("x1^2", 2), m("x1^3", 2)))
+        MonomialIdeal(2, [(2, 0), (3, 0)])
 
 
 def test_minimalize_empty_needs_ambient():
@@ -312,3 +337,45 @@ def test_power_matches_iterated_product(gens):
         ambient=4,
     )
     assert cube == by_hand
+
+
+# ---------------------------------------------------------------- array route
+
+@st.composite
+def exponent_matrices(draw):
+    """(ambient, rows): repeated rows, mixed degrees, the unit row, exponents at the cap."""
+    n = draw(st.integers(0, 5))
+    high = draw(st.sampled_from((3, EXPONENT_CAP)))
+    row = st.tuples(*[st.sampled_from((0, 0, 1, 2, high))] * n)
+    rows = draw(st.lists(st.one_of(row, st.just((0,) * n)), max_size=12))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=6))  # repeats
+    return n, draw(st.permutations(rows))
+
+
+@settings(max_examples=300)
+@given(exponent_matrices(), st.sampled_from((np.int64, np.int32)))
+@example((0, []), np.int64)
+@example((0, [(), ()]), np.int32)
+@example((3, []), np.int32)
+@example((2, [(EXPONENT_CAP, 0), (0, 0), (EXPONENT_CAP, 0)]), np.int32)
+def test_minimalize_array_route_matches_the_tuple_route(drawn, dtype):
+    n, rows = drawn
+    matrix = np.array(rows, dtype=dtype).reshape(len(rows), n)
+    got = minimalize(matrix)
+    want = minimalize_by_tuples([Monomial(r) for r in rows], ambient=n)
+    assert got == want and got.ambient == n
+    assert got.exponents.dtype == np.int64 and not got.exponents.flags.writeable
+    assert minimalize([Monomial(r) for r in rows], ambient=n) == want
+    assert MonomialIdeal(n, got.exponents) == got  # canonical, so it validates
+
+
+def test_minimalize_refuses_what_a_monomial_refuses():
+    with pytest.raises(ValueError, match="negative exponent"):
+        minimalize(np.array([[1, -1]]))
+    with pytest.raises(ExponentOverflowError):
+        minimalize(np.array([[0, EXPONENT_CAP + 1]], dtype=np.int32))
+    with pytest.raises(ValueError, match="integers"):
+        minimalize(np.array([[0.5]]))
+    with pytest.raises(AmbientMismatchError):
+        minimalize(np.zeros((1, 3), dtype=np.int64), ambient=2)

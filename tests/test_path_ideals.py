@@ -4,16 +4,17 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pathideal.errors import SizeCapExceededError
 from pathideal.monomials import (
+    Monomial,
     colon_by_monomial,
     ideal_power,
     minimalize,
-    mono_pow,
 )
 from pathideal.path_ideals import (
     Composition,
@@ -27,8 +28,14 @@ from support import (
     composition_to_monomial,
     compositions_desc,
     m,
+    mono_pow,
+    pairs_of,
     power_generators_by_compositions,
 )
+
+
+def lines(n: int, t: int) -> list[Monomial]:
+    return [Monomial(tuple(u)) for u in line_graph_generators(PathIdealSpec(n, t)).tolist()]
 
 
 # ---------------------------------------------------------------- specs
@@ -46,7 +53,7 @@ def test_spec_validation():
 
 
 def test_composition_validation():
-    assert Composition((1, 0, 2)).total == 3
+    assert Composition((1, 0, 2)).parts == (1, 0, 2)
     assert str(Composition((1, 0, 2))) == "(1,0,2)"
     with pytest.raises(ValueError):
         Composition(())
@@ -59,13 +66,15 @@ def test_composition_validation():
 
 def test_generators_anchor_5_3():
     gens = line_graph_generators(PathIdealSpec(5, 3))
-    assert gens == [m("x1*x2*x3", 5), m("x2*x3*x4", 5), m("x3*x4*x5", 5)]
+    assert gens.dtype == np.int64 and not gens.flags.writeable
+    assert lines(5, 3) == [m("x1*x2*x3", 5), m("x2*x3*x4", 5), m("x3*x4*x5", 5)]
 
 
 def test_generators_degenerate_cases():
-    assert line_graph_generators(PathIdealSpec(3, 3)) == [m("x1*x2*x3", 3)]
-    assert line_graph_generators(PathIdealSpec(2, 3)) == []
-    assert line_graph_generators(PathIdealSpec(3, 1)) == [
+    assert lines(3, 3) == [m("x1*x2*x3", 3)]
+    assert lines(2, 3) == []
+    assert line_graph_generators(PathIdealSpec(2, 3)).shape == (0, 2)
+    assert lines(3, 1) == [
         m("x1", 3),
         m("x2", 3),
         m("x3", 3),
@@ -90,7 +99,7 @@ def test_generators_are_already_minimal():
 def test_compositions_desc_exact_order():
     want = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     assert [c.parts for c in compositions_desc(2, 3)] == want
-    assert [c.parts for c, _ in power_generators(PathIdealSpec(5, 3), 2)] == want
+    assert power_generators(PathIdealSpec(5, 3), 2)[0].tolist() == list(map(list, want))
 
 
 def test_compositions_count_and_shape():
@@ -99,7 +108,7 @@ def test_compositions_count_and_shape():
             comps = list(compositions_desc(total, k))
             assert len(comps) == composition_count(total, k)
             assert len(comps) == math.comb(total + k - 1, k - 1)
-            assert all(c.total == total and len(c.parts) == k for c in comps)
+            assert all(sum(c.parts) == total and len(c.parts) == k for c in comps)
             assert len({c.parts for c in comps}) == len(comps)
 
 
@@ -124,7 +133,7 @@ def test_composition_to_monomial_anchors():
     assert composition_to_monomial(spec, Composition((0, 0, 0))) == m("1", 5)
     with pytest.raises(ValueError):
         composition_to_monomial(spec, Composition((1, 0)))
-    products = dict(power_generators(spec, 2))
+    products = dict(pairs_of(*power_generators(spec, 2)))
     assert products[Composition((2, 0, 0))] == m("x1^2*x2^2*x3^2", 5)
     assert products[Composition((1, 0, 1))] == m("x1*x2*x3^2*x4*x5", 5)
 
@@ -135,14 +144,16 @@ def test_power_generators_match_the_composition_route():
         for n in range(t, 14):
             spec = PathIdealSpec(n, t)
             for s in range(1, 5):
-                assert power_generators(spec, s) == power_generators_by_compositions(spec, s)
+                counts, rows = power_generators(spec, s)
+                assert not counts.flags.writeable and not rows.flags.writeable
+                assert pairs_of(counts, rows) == power_generators_by_compositions(spec, s)
 
 
 # ---------------------------------------------------------------- powers
 
 
 def test_power_generators_anchor_5_3_2():
-    pairs = power_generators(PathIdealSpec(5, 3), 2)
+    pairs = pairs_of(*power_generators(PathIdealSpec(5, 3), 2))
     assert len(pairs) == 6
     assert pairs[0][0].parts == (2, 0, 0)
     assert pairs[0][1] == m("x1^2*x2^2*x3^2", 5)
@@ -153,16 +164,16 @@ def test_power_generators_anchor_5_3_2():
 
 
 def test_power_generators_single_generator():
-    pairs = power_generators(PathIdealSpec(3, 3), 4)
+    pairs = pairs_of(*power_generators(PathIdealSpec(3, 3), 4))
     assert len(pairs) == 1
-    u1 = line_graph_generators(PathIdealSpec(3, 3))[0]
+    u1 = lines(3, 3)[0]
     assert pairs[0][1] == mono_pow(u1, 4)
 
 
 def test_power_generators_match_ideal_power_route():
     for n, t, s in [(5, 3, 2), (6, 2, 2), (7, 3, 3), (4, 2, 3), (9, 4, 2)]:
         spec = PathIdealSpec(n, t)
-        via_comps = {mono for _, mono in power_generators(spec, s)}
+        via_comps = {mono for _, mono in pairs_of(*power_generators(spec, s))}
         via_product = set(ideal_power(path_ideal(spec), s).generators)
         assert via_comps == via_product
 
@@ -182,7 +193,7 @@ def test_variable_pattern_in_overlap_regime():
     # exactly when its composition has weight on the first k slots.
     for n, t in [(4, 2), (5, 3), (6, 3), (8, 4)]:
         spec = PathIdealSpec(n, t)
-        for comp, mono in power_generators(spec, 2):
+        for comp, mono in pairs_of(*power_generators(spec, 2)):
             for k in range(1, n - t + 1):
                 expected = sum(comp.parts[:k])
                 assert mono.exponents[k - 1] == expected
@@ -195,8 +206,7 @@ def test_variable_pattern_in_overlap_regime():
 )
 def test_composition_to_monomial_is_injective(nts):
     t, n, s = nts
-    pairs = power_generators(PathIdealSpec(n, t), s)
-    monos = [mono for _, mono in pairs]
+    monos = [mono for _, mono in pairs_of(*power_generators(PathIdealSpec(n, t), s))]
     assert len(set(monos)) == len(monos)
     degs = {mono.degree for mono in monos}
     assert degs == {t * s}
@@ -207,7 +217,7 @@ def test_colon_of_power_by_last_generator_drops_one_power():
     for n, t, s in [(5, 3, 2), (5, 3, 3), (6, 2, 2), (7, 3, 2), (4, 2, 4)]:
         spec = PathIdealSpec(n, t)
         i = path_ideal(spec)
-        u_last = line_graph_generators(spec)[-1]
+        u_last = lines(n, t)[-1]
         assert colon_by_monomial(ideal_power(i, s), u_last) == ideal_power(i, s - 1)
 
 

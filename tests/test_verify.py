@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import json
 import logging
 import os
@@ -15,7 +17,10 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import pathideal.cache as cache_mod
 import pathideal.verify as verify_mod
@@ -28,8 +33,8 @@ from pathideal.cache import (
 )
 from pathideal.cli import _sweep_config, build_parser, main
 from pathideal.errors import ColonFormMismatchError, PathIdealError
-from pathideal.monomials import minimalize
-from pathideal.oracle import GF2, FieldSpec
+from pathideal.monomials import Monomial, minimalize
+from pathideal.oracle import DEFAULT_LATTICE_CAP, GF2, FieldSpec, betti_table
 from pathideal.path_ideals import composition_count
 from pathideal.verify import (
     CSV_COLUMNS,
@@ -40,7 +45,7 @@ from pathideal.verify import (
     run_sweep,
     sweep_cells,
 )
-from support import m, table_of
+from support import json_cache_key, m, table_of
 
 EDGE_IDEAL_3 = minimalize([m("x1*x2", 3), m("x2*x3", 3)], ambient=3)
 
@@ -176,7 +181,7 @@ def test_augmented_rows_can_fail_beyond_overlap(tmp_path):
 
 
 def test_broken_cell_gives_fail_row(tmp_path, monkeypatch):
-    def broken(spec, pairs):
+    def broken(spec, counts, rows):
         raise ColonFormMismatchError("colon 2 disagrees with its closed form")
 
     monkeypatch.setattr(verify_mod, "linear_quotients_check", broken)
@@ -198,18 +203,24 @@ def test_linear_quotients_check_runs_once_per_cell(tmp_path, monkeypatch):
     calls, real = [], verify_mod.linear_quotients_check
     monkeypatch.setattr(
         verify_mod, "linear_quotients_check",
-        lambda spec, pairs: calls.append((spec.n, spec.t, pairs[0][0].total))
-        or real(spec, pairs),
+        lambda spec, counts, rows: calls.append((spec.n, spec.t, int(counts[0].sum())))
+        or real(spec, counts, rows),
     )
     cfg = tiny_config(tmp_path / "cache", jobs=1)
     assert run_sweep(cfg).summary["fail"] == 0
     assert sorted(calls) == [c for c in sweep_cells(cfg) if c[1] <= c[0] <= 2 * c[1]]
 
 
-def test_default_sweep_matches_the_benchmark_golden(tmp_path):
+@pytest.fixture(scope="module")
+def default_report(tmp_path_factory):
+    """The default sweep's report, over a cache of its own."""
+    return run_sweep(SweepConfig(cache_dir=str(tmp_path_factory.mktemp("default"))))
+
+
+def test_default_sweep_matches_the_benchmark_golden(default_report):
     golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
     want = json.loads(golden.read_text(encoding="utf-8"))["sweep"]
-    report = run_sweep(SweepConfig(cache_dir=str(tmp_path / "cache")))
+    report = default_report
     rows = [r.to_dict(include_ms=False) for r in report.rows]
     blob = json.dumps({"rows": rows, "summary": report.summary},
                       sort_keys=True, separators=(",", ":"))
@@ -256,13 +267,15 @@ def test_generators_row_fails_unless_each_product_is_a_minimal_generator(
     real = verify_mod.power_generators
 
     def faulty(spec, s, **kwargs):
-        pairs = real(spec, s, **kwargs)
-        first, last = pairs[0][1], pairs.pop()
+        counts, rows = real(spec, s, **kwargs)
+        if fault == "missing":
+            return counts[:-1], rows[:-1]
+        rows = rows.copy()
         if fault == "duplicate":
-            pairs.append((last[0], first))
+            rows[-1] = rows[0]
         elif fault == "divisible":
-            pairs.append((last[0], m("x1^2*x2^2*x4", 4)))  # u_1^2 * x4
-        return pairs
+            rows[-1] = m("x1^2*x2^2*x4", 4).exponents  # u_1^2 * x4
+        return counts, rows
 
     monkeypatch.setattr(verify_mod, "power_generators", faulty)
     cfg = tiny_config(tmp_path / "cache", n_min=4, s_min=2)
@@ -304,8 +317,7 @@ def test_cli_repro_reruns_the_rows_own_objects(tmp_path, monkeypatch, capsys):
     real = verify_mod.power_generators
 
     def short(spec, s, **kwargs):
-        pairs = real(spec, s, **kwargs)
-        return pairs[:1] + pairs[2:]
+        return tuple(np.delete(matrix, 1, axis=0) for matrix in real(spec, s, **kwargs))
 
     monkeypatch.setattr(verify_mod, "power_generators", short)
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
@@ -399,6 +411,39 @@ def test_csv_renders_structured_cells(tmp_path):
     assert betti_lines and all("[" in l for l in betti_lines)
 
 
+def rendered_as_json(value) -> str:
+    """A CSV cell as every value but strings and None was rendered: its JSON form."""
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else json.dumps(value, separators=(",", ":"))
+
+
+def test_csv_cells_are_the_json_forms_on_the_default_grid(default_report):
+    values = [v for r in default_report.rows for v in (r.formula, r.oracle)]
+    assert {type(v) for v in values} >= {int, bool, list, str}
+    assert all(verify_mod._render_cell(v) == rendered_as_json(v) for v in values)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in default_report.rows:
+        writer.writerow([r.n, r.t, r.s, r.quantity, rendered_as_json(r.formula),
+                         rendered_as_json(r.oracle), r.status, f"{r.ms:.3f}"])
+    assert emit_table(default_report, "csv") == buf.getvalue()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2**63 - 2, 2**70)
+    | st.integers(-(2**70), -1) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@given(json_values)
+def test_csv_cell_is_the_json_form(value):
+    assert verify_mod._render_cell(value) == rendered_as_json(value)
+
+
 def test_emit_table_writes_files(tmp_path):
     report = run_sweep(tiny_config(tmp_path / "cache", n_max=3, s_max=1))
     out = tmp_path / "report.csv"
@@ -455,11 +500,69 @@ def test_cache_key_separates_characteristics(tmp_path):
     assert betti_cache_key(EDGE_IDEAL_3, 2) != betti_cache_key(EDGE_IDEAL_3, 2, 5)
 
 
+def test_cache_key_ignores_how_the_ideal_was_built():
+    rows = np.array([[1, 1, 0], [0, 1, 1]])
+    key = betti_cache_key(EDGE_IDEAL_3, 2)
+    for built in (rows[::-1], np.concatenate((rows, rows, rows[:1])),
+                  rows.astype(np.int32), rows.astype(np.uint8)):
+        assert betti_cache_key(minimalize(built), 2) == key
+
+
+def test_cache_key_changes_with_every_input(monkeypatch):
+    key = betti_cache_key(EDGE_IDEAL_3, 2)
+    others = [
+        betti_cache_key(minimalize([m("x1*x2", 4), m("x2*x3", 4)]), 2),  # ambient
+        betti_cache_key(EDGE_IDEAL_3, 3),
+        betti_cache_key(EDGE_IDEAL_3, 2, 5),
+        betti_cache_key(minimalize([m("x1*x2^2", 3), m("x2*x3", 3)]), 2),  # one exponent
+        betti_cache_key(minimalize([m("x1*x2", 3), m("x2*x3^2", 3)]), 2),
+    ]
+    monkeypatch.setattr(cache_mod, "ORACLE_VERSION", cache_mod.ORACLE_VERSION + 1)
+    others.append(betti_cache_key(EDGE_IDEAL_3, 2))
+    monkeypatch.undo()
+    assert len({key, *others}) == len(others) + 1
+    # rows of ambient 0 have no bytes: the count in the header tells (0) from (1)
+    zero, unit = minimalize([], ambient=0), minimalize([Monomial(())])
+    assert betti_cache_key(zero, 2) != betti_cache_key(unit, 2)
+    # every cap from 2^63 - 1 up admits any lattice, so they share a key
+    assert betti_cache_key(EDGE_IDEAL_3, 2, 2**80) == betti_cache_key(EDGE_IDEAL_3, 2, 2**63 - 1)
+    assert betti_cache_key(EDGE_IDEAL_3, 2, -(2**80)) == betti_cache_key(EDGE_IDEAL_3, 2, -1)
+    assert betti_cache_key(EDGE_IDEAL_3, 2, 0) != betti_cache_key(EDGE_IDEAL_3, 2, -1)
+
+
+def test_warm_sweep_over_a_json_keyed_cache_recomputes(tmp_path, monkeypatch):
+    # A cache filled by the release before this one: the same binary
+    # entries, under keys hashed from JSON and named <key>.json.
+    cfg = tiny_config(tmp_path / "new", n_min=4, s_max=2, jobs=1)
+    old = tmp_path / "old"
+    old.mkdir()
+    tables = []
+    monkeypatch.setattr(cache_mod, "betti_table", lambda *args: tables.append(
+        (args[0], betti_table(*args))) or tables[-1][1])
+    want = run_sweep(cfg)
+    for ideal, table in tables:
+        key = json_cache_key(ideal, table.characteristic, DEFAULT_LATTICE_CAP)
+        (old / f"{key}.json").write_bytes(cache_mod._encode(key, table))
+    stored, count = sorted(old.iterdir()), len(tables)
+    opened = []
+    monkeypatch.setattr(cache_mod, "open", lambda path, *args, **kwargs: opened.append(
+        path) or open(path, *args, **kwargs), raising=False)
+    cache = BettiCache(old)
+    monkeypatch.setattr(verify_mod, "BettiCache", lambda directory: cache)
+    got = run_sweep(dataclasses.replace(cfg, cache_dir=str(old)))
+    assert got.canonical_json() == want.canonical_json()
+    assert (cache.hits, cache.misses, cache.evictions) == (0, count, 0)
+    assert len(opened) == count and all(str(path).endswith(".pibt") for path in opened)
+    # the old entries are orphaned, untouched, beside the new ones
+    assert sorted(old.glob("*.json")) == stored
+    assert len(list(old.glob("*.pibt"))) == count
+
+
 def test_cache_evicts_corrupt_entries(tmp_path):
     cache = BettiCache(tmp_path / "cache")
     cached_betti_table(EDGE_IDEAL_3, GF2, cache)
     key = betti_cache_key(EDGE_IDEAL_3, 2)
-    victim = tmp_path / "cache" / f"{key}.json"
+    victim = tmp_path / "cache" / f"{key}.pibt"
     victim.write_text("{not json", encoding="utf-8")
     table = cached_betti_table(EDGE_IDEAL_3, GF2, cache)
     assert table.totals() == {0: 2, 1: 1}
@@ -478,8 +581,8 @@ def test_cache_rejects_swapped_entries(tmp_path):
     cached_betti_table(EDGE_IDEAL_3, GF2, cache)
     key2 = betti_cache_key(EDGE_IDEAL_3, 2)
     key3 = betti_cache_key(EDGE_IDEAL_3, 3)
-    src = tmp_path / "cache" / f"{key2}.json"
-    (tmp_path / "cache" / f"{key3}.json").write_bytes(src.read_bytes())
+    src = tmp_path / "cache" / f"{key2}.pibt"
+    (tmp_path / "cache" / f"{key3}.pibt").write_bytes(src.read_bytes())
     cached_betti_table(EDGE_IDEAL_3, FieldSpec(3), cache)
     assert cache.hits == 0  # stored-key mismatch forced a recompute
 
@@ -498,7 +601,7 @@ def test_cache_does_not_replay_older_oracle(tmp_path, monkeypatch):
     # Under the current key, an entry written by another version is a miss
     # and is evicted.
     key = betti_cache_key(EDGE_IDEAL_3, 2)
-    entry = tmp_path / "cache" / f"{key}.json"
+    entry = tmp_path / "cache" / f"{key}.pibt"
     raw = entry.read_bytes()
     header = cache_mod._HEADER
     fields = list(header.unpack_from(raw))
@@ -519,7 +622,7 @@ def test_cache_evicts_unsound_entries(tmp_path):
     cache = BettiCache(tmp_path / "cache")
     want = cached_betti_table(EDGE_IDEAL_3, GF2, cache)
     key = betti_cache_key(EDGE_IDEAL_3, 2)
-    entry = tmp_path / "cache" / f"{key}.json"
+    entry = tmp_path / "cache" / f"{key}.pibt"
     sound = entry.read_bytes()
     header = cache_mod._HEADER
     names = ("magic", "key", "version", "ambient", "char", "count", "width", "rank_width")
@@ -604,7 +707,7 @@ def test_sweep_reports_cache_evictions_in_one_line(tmp_path, caplog):
     cfg = tiny_config(tmp_path / "cache", n_min=4, s_max=2, jobs=1)
     assert sweep_cells(cfg) == [(4, 2, 1), (4, 2, 2)]
     cold = run_sweep(cfg)
-    entries = sorted((tmp_path / "cache").glob("*.json"))
+    entries = sorted((tmp_path / "cache").glob("*.pibt"))
     assert len(entries) == 4
 
     def answers(report):
@@ -1126,7 +1229,7 @@ def test_cli_env_cache_dir(capsys, tmp_path, monkeypatch):
     code, _ = run_cli(capsys, "betti", "--n", "3", "--t", "2")
     assert code == 0
     assert (tmp_path / "env-cache").is_dir()
-    assert list((tmp_path / "env-cache").glob("*.json"))
+    assert list((tmp_path / "env-cache").glob("*.pibt"))
 
 
 def test_cli_check_of_a_large_power_fits_in_600_mib():
