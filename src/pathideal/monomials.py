@@ -204,11 +204,7 @@ def minimalize(gens, ambient: int | None = None) -> MonomialIdeal:
     amb = gens.shape[-1] if gens.ndim else 0
     if ambient is not None and ambient != amb:
         raise AmbientMismatchError(f"ambient mismatch: {ambient} vs {amb}")
-    E = _as_rows(gens, amb)
-    S = E[_lex_order(E)]
-    fresh = (S[1:] != S[:-1]).any(axis=1)
-    if not fresh.all():
-        S = S[np.concatenate(([True], fresh))]
+    S = _sorted_distinct(_as_rows(gens, amb))
     minimal = _minimal_rows(S)
     if minimal is not None:
         S = S[minimal]
@@ -222,9 +218,9 @@ def _minimal_rows(E: np.ndarray) -> np.ndarray | None:
 
     A proper divisor has a smaller degree, so the rows are taken in
     increasing degree, and each degree level is compared only with the
-    minimal rows of the lower levels, a chunk of rows at a time within
-    _CHUNK_BYTES.  Vectors of a single degree need no comparison: for them
-    the result is None, which means that every row is minimal.
+    minimal rows of the lower levels, by _last_divisor.  Vectors of a
+    single degree need no comparison: for them the result is None, which
+    means that every row is minimal.
     """
     deg = E.sum(axis=1)
     if not deg.size or deg.min() == deg.max():
@@ -235,15 +231,39 @@ def _minimal_rows(E: np.ndarray) -> np.ndarray | None:
     kept = np.ones(len(E), dtype=bool)
     below = D[: starts[0]]
     for lo, hi in zip(starts, starts[1:] + [len(D)]):
-        step = max(1, _CHUNK_BYTES // max(below.size, 1))
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            kept[a:b] = ~(below <= D[a:b, None, :]).all(axis=2).any(axis=1)
+        kept[lo:hi] = _last_divisor(D[lo:hi], below) == 0
         if hi < len(D):
             below = np.concatenate((below, D[lo:hi][kept[lo:hi]]))
     minimal = np.empty(len(E), dtype=bool)
     minimal[order] = kept
     return minimal
+
+
+def _sorted_distinct(E: np.ndarray) -> np.ndarray:
+    """The distinct rows of E in increasing lexicographic order."""
+    S = E[_lex_order(E)]
+    fresh = (S[1:] != S[:-1]).any(axis=1)
+    if not fresh.all():
+        S = S[np.concatenate(([True], fresh))]
+    return S
+
+
+def _last_divisor(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """For each row of A: 1 + the largest k such that row k of B divides it, else 0.
+
+    A chunk of A's rows at a time, so that the (rows, len(B), n) comparison
+    stays within _CHUNK_BYTES; a test for "some row of B divides it" reads
+    the result as > 0.
+    """
+    last = np.zeros(len(A), dtype=np.intp)
+    if not len(B):
+        return last
+    step = max(1, _CHUNK_BYTES // max(B.size, 1))
+    for a in range(0, len(A), step):
+        divides = (B <= A[a : a + step, None, :]).all(axis=2)
+        last[a : a + step] = np.where(divides.any(axis=1),
+                                      len(B) - divides[:, ::-1].argmax(axis=1), 0)
+    return last
 
 
 def _colon_of_rows(rows: np.ndarray, m: np.ndarray) -> MonomialIdeal:

@@ -38,8 +38,8 @@ from .linearity import (
     quasi_linear_check,
     quasi_linear_witness,
 )
-from .monomials import (POWER_PRODUCT_CAP, Monomial, colon_by_monomial, ideal_power,
-                        minimalize)
+from .monomials import (POWER_PRODUCT_CAP, MonomialIdeal, _last_divisor, _lex_order,
+                        _power_products, _sorted_distinct, minimalize)
 from .oracle import DEFAULT_LATTICE_CAP, BettiTable, FieldSpec
 from .path_ideals import (PathIdealSpec, composition_count, line_graph_generators,
                           path_ideal, power_generators)
@@ -250,6 +250,32 @@ class _CellState:
             "quotients", lambda: linear_quotients_check(self.spec, *self.pairs())
         )
 
+    def augmented(self, j: int) -> MonomialIdeal:
+        """I^s + (u_j, ..., u_m) for s >= 2, as one row mask.
+
+        Its minimal generators are the u_k with k >= j and the generators of
+        I^s that no such u_k divides: no generator of I^s, of degree st > t,
+        divides a u_k, and the u_k share one degree.  The rows of both are
+        lex-sorted together once per cell, with a level each: k for u_k, and
+        for a generator the largest k with u_k dividing it (0 if none).  A
+        row belongs to the ideal of j exactly when (level >= j) equals its
+        line flag, and the kept rows are in canonical form.
+        """
+        def build():
+            G = self.power_ideal().exponents
+            lines = line_graph_generators(self.spec)
+            rows = np.concatenate((G, lines))
+            level = np.concatenate((_last_divisor(G, lines),
+                                    np.arange(1, len(lines) + 1)))
+            line = np.arange(len(rows)) >= len(G)
+            order = _lex_order(rows)
+            return rows[order], level[order], line[order]
+
+        rows, level, line = self._get("augmentation", build)
+        kept = rows[(level >= j) == line]
+        kept.setflags(write=False)
+        return MonomialIdeal(self.n, kept, validate=False)
+
     def table(self, p: int, j: int | None = None) -> BettiTable:
         """The table of I^s, or of I^s + (u_j, ..., u_{n-t+1}), over GF(p).
 
@@ -260,10 +286,7 @@ class _CellState:
         j = None if self.s == 1 else j
 
         def build() -> BettiTable:
-            ideal = self.power_ideal()
-            if j is not None:
-                lines = line_graph_generators(self.spec)[j - 1 :]
-                ideal = minimalize(np.concatenate((ideal.exponents, lines)))
+            ideal = self.power_ideal() if j is None else self.augmented(j)
             return cached_betti_table(ideal, FieldSpec(p), self.cache, self.lattice_cap)
 
         return self._get(("table", j, p), build)
@@ -338,12 +361,30 @@ def _witness(state: _CellState) -> str:
     return "colon is variable-generated"
 
 
+def _colon_equals(G: np.ndarray, u: np.ndarray, products: np.ndarray) -> bool:
+    """Whether (G) : u is the ideal that the rows of products generate.
+
+    G is the lex-sorted minimal generators of I^s and the products those of
+    I^(s-1); with L the distinct products in lex order, the two containments
+    are (a) L u in (G) and (b) each colon row max(g - u, 0) in (L).  Since G
+    and L each have one degree, st and t(s - 1), the colon is (L) only if
+    the rows that u divides, less u, are L itself: each such g - u is then a
+    row of L and each l + u a row of G.  That settles (a), and (b) on those
+    rows; the colon rows of the others are tested against L.
+    """
+    L = _sorted_distinct(products)
+    divides = (G >= u).all(axis=1)
+    if not np.array_equal(G[divides] - u, L):
+        return False
+    return bool((_last_divisor(np.maximum(G[~divides] - u, 0), L) > 0).all())
+
+
 def _colon_lemma(state: _CellState) -> bool:
-    u_last = Monomial(tuple(line_graph_generators(state.spec)[-1].tolist()))
-    lower = ideal_power(
-        path_ideal(state.spec), state.s - 1, max_products=state.power_cap
-    )
-    return colon_by_monomial(state.power_ideal(), u_last) == lower
+    """I^s : u_{n-t+1} = I^(s-1), with I^(s-1) as its s - 1 fold products."""
+    lines = line_graph_generators(state.spec)
+    products = _power_products(lines, state.s - 1, state.power_cap)
+    return _colon_equals(state.power_ideal().exponents, lines[-1],
+                         np.concatenate([rows for _, rows in products]))
 
 
 def _augmented(p: int, j: int, state: _CellState) -> int:

@@ -4,8 +4,10 @@ m parses the text form that format_monomial renders; mono_divides,
 mono_pow, support, mono_mul, mono_quotient and contains are the
 one-Monomial-at-a-time arithmetic the object routes are built from.
 
-minimalize_by_tuples is the tuple route of minimalize, a dict of exponent
-tuples and their sorted list, against which the array route is checked.
+augmented_by_minimalize is the route a sweep cell once took to its
+augmented ideals.  minimalize_by_tuples is the tuple route of minimalize,
+a dict of exponent tuples and their sorted list, against which the array
+route is checked.
 json_cache_key is the cache key of earlier releases.
 
 The object routes are the library's colon, power and linearity algorithms
@@ -128,6 +130,12 @@ def ideal(texts: list[str], ambient: int) -> MonomialIdeal:
 
 def power(n: int, t: int, s: int) -> MonomialIdeal:
     return minimalize(power_generators(PathIdealSpec(n, t), s)[1])
+
+
+def augmented_by_minimalize(power: MonomialIdeal, lines: np.ndarray,
+                            j: int) -> MonomialIdeal:
+    """I^s + (u_j, ..., u_m), minimalized from the rows of both."""
+    return minimalize(np.concatenate((power.exponents, lines[j - 1 :])))
 
 
 def minimalize_by_tuples(gens, ambient: int | None = None) -> MonomialIdeal:

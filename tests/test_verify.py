@@ -250,7 +250,9 @@ def test_warm_default_sweep_builds_each_cells_power_generators_once(tmp_path, mo
     report = run_sweep(cfg)
     assert report.summary["fail"] == 0
     assert calls["power_generators"] == len(sweep_cells(cfg)) == 57
-    assert calls["minimalize"] < 520
+    # I^s once per cell and the 22 witness colons; the augmented ideals and
+    # the colon lemma minimalize nothing
+    assert calls["minimalize"] == 57 + 22 == 79
     # the products of I^s once per cell, and of I^(s-1) for the colon lemma
     lower = sum(s >= 2 for _, _, s in sweep_cells(cfg))
     assert calls["_power_products"] == 57 + lower == 93
