@@ -38,9 +38,11 @@ import os
 import struct
 import tempfile
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
+from .errors import SizeCapExceededError
 from .monomials import MonomialIdeal
 from .oracle import (
     DEFAULT_LATTICE_CAP,
@@ -48,11 +50,11 @@ from .oracle import (
     BettiTable,
     FieldSpec,
     _big_endian,
-    betti_table,
+    betti_tables,
 )
 
 __all__ = ["CACHE_ENV_VAR", "DEFAULT_CACHE_DIR", "BettiCache", "betti_cache_key",
-           "cached_betti_table", "resolve_cache_dir"]
+           "cached_betti_table", "cached_betti_tables", "resolve_cache_dir"]
 
 log = logging.getLogger(__name__)
 
@@ -233,17 +235,45 @@ class BettiCache:
             raise
 
 
+def cached_betti_tables(
+    ideals: Iterable[MonomialIdeal],
+    fieldspec: FieldSpec,
+    cache: BettiCache,
+    lattice_cap: int = DEFAULT_LATTICE_CAP,
+) -> list[BettiTable | SizeCapExceededError]:
+    """betti_tables through a read-through disk cache.
+
+    Each key is looked up once, the misses are settled in one betti_tables
+    call, and each new table is stored under its key.  A refused ideal gets
+    its SizeCapExceededError, as betti_tables gives it, and is not stored.
+    """
+    ideals, p = list(ideals), fieldspec.characteristic
+    keys = [betti_cache_key(ideal, p, lattice_cap) for ideal in ideals]
+    tables: dict = {}
+    misses: dict = {}
+    for key, ideal in zip(keys, ideals):
+        if key not in tables and key not in misses:
+            found = cache.lookup(key)
+            if found is None:
+                misses[key] = ideal
+            else:
+                tables[key] = found
+    if misses:
+        for key, table in zip(misses, betti_tables(misses.values(), fieldspec, lattice_cap)):
+            if isinstance(table, BettiTable):
+                cache.store(key, table)
+            tables[key] = table
+    return [tables[key] for key in keys]
+
+
 def cached_betti_table(
     ideal: MonomialIdeal,
     fieldspec: FieldSpec,
     cache: BettiCache,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
 ) -> BettiTable:
-    """betti_table through a read-through disk cache."""
-    key = betti_cache_key(ideal, fieldspec.characteristic, lattice_cap)
-    found = cache.lookup(key)
-    if found is not None:
-        return found
-    table = betti_table(ideal, fieldspec, lattice_cap)
-    cache.store(key, table)
+    """betti_table through a read-through disk cache: one item of cached_betti_tables."""
+    table = cached_betti_tables([ideal], fieldspec, cache, lattice_cap)[0]
+    if isinstance(table, SizeCapExceededError):
+        raise table
     return table

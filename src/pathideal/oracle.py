@@ -42,6 +42,7 @@ __all__ = [
     "gfp_rank",
     "lcm_lattice",
     "betti_table",
+    "betti_tables",
 ]
 
 # Hard cap on the number of distinct multidegrees visited per ideal.  For
@@ -72,7 +73,10 @@ _MAX_SUPPORT = 24
 # rows and their comparison, or the comparison and the bit ranks) and one
 # uint32 column: 16 + 3n bytes a pair, within the 8 * n of the budget once
 # n >= 4.  A batch of the chunk adds a uint32 copy and flat index per pair,
-# which numpy widens to intp as it scatters.  A batch of face indicators
+# which numpy widens to intp as it scatters.  Chunks of several ideals are
+# pooled while their costs, q * n * 8 bytes a row, fit the budget; merging
+# them adds about 30 bytes a pair (a uint32 place, an intp order and the
+# sorted copies).  A batch of face indicators
 # holds at most _CHUNK_BYTES / 4 bytes, rows of max(8, 2^k) bytes for its
 # widest support size k, so that with the copy of its complexes that are not
 # cones and the scratch array of the same size that its closure and homology
@@ -214,6 +218,15 @@ _WITHOUT_VERTEX = tuple(
 _BYTES = np.uint64(0x0101010101010101)
 
 
+def _refuse_wide(k: int) -> None:
+    """Raise SizeCapExceededError if support size k is past _MAX_SUPPORT."""
+    if k > _MAX_SUPPORT:
+        raise SizeCapExceededError(
+            f"support size {k} exceeds face-enumeration limit {_MAX_SUPPORT}",
+            count=k,
+        )
+
+
 def _facet_pairs(G: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Facets of the upper Koszul complexes K^b, one per generator dividing x^b.
 
@@ -228,12 +241,7 @@ def _facet_pairs(G: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray
     into place on its own, so the (pair, column) temporaries take a byte each.
     """
     on = lat > 0
-    k = int(np.count_nonzero(on, axis=1).max(initial=0))
-    if k > _MAX_SUPPORT:
-        raise SizeCapExceededError(
-            f"support size {k} exceeds face-enumeration limit {_MAX_SUPPORT}",
-            count=k,
-        )
+    _refuse_wide(int(np.count_nonzero(on, axis=1).max(initial=0)))
     q = G.shape[0]
     w = max(1, int(G.max(initial=0)), int(lat.max(initial=0)))
     codes = _unary_codes(np.concatenate((G, lat)), w)
@@ -265,7 +273,7 @@ def _face_indicators(
     the word view, 8 faces a word: for v < 3 the face sigma + v is in the
     word of sigma, 8 << v bits higher; for larger v it is 2^(v-3) words
     further on.  The flat index is uint32, so a batch holds fewer than 2^32
-    faces; _koszul_batches' hold 2^24 at most.
+    faces; _batches' hold 2^24 at most.
     """
     width = max(8, 1 << k)
     ind = np.zeros((rows, width), dtype=bool)
@@ -310,30 +318,30 @@ def _batch_rows(ks: np.ndarray):
         yield held, ks.size, top
 
 
-def _koszul_batches(G: np.ndarray, lat: np.ndarray):
-    """Yield (b, ind): face indicators of K^b for b in the rows of lat.
+def _koszul_chunk(G: np.ndarray, lat: np.ndarray, ks: np.ndarray):
+    """(part, ks, row, facets): the rows of lat by support size, with their facet pairs.
 
-    Each chunk of lat is sorted by support size, stably, so that a batch
-    is a slice of it (_batch_rows), and so are its facet pairs.  A batch is
-    padded to its widest support size k.  The vertices above a row's own
-    support lie in no face, so they are never a cone point, never matched
-    and never critical, and the batch settles each complex as one of its
-    own size would.
+    ks holds the support size of each row of lat; the rows are sorted by
+    it, stably, and so are the sizes returned.
     """
-    # Exponents compare in the narrowest type that holds them.
-    small = np.min_scalar_type(max(int(G.max(initial=0)), int(lat.max(initial=0))))
-    G = G.astype(small)
-    q, n = G.shape
-    step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
-    for lo in range(0, lat.shape[0], step):
-        part = lat[lo : lo + step].astype(small)
-        ks = np.count_nonzero(part, axis=1)
-        order = np.argsort(ks, kind="stable")
-        part, ks = part[order], ks[order]
-        row, facets = _facet_pairs(G, part)
-        for a, b, k in _batch_rows(ks):
-            i, j = np.searchsorted(row, (a, b))
-            yield part[a:b], _face_indicators(b - a, row[i:j] - a, facets[i:j], k)
+    order = np.argsort(ks, kind="stable")
+    part = lat[order]
+    return (part, ks[order], *_facet_pairs(G, part))
+
+
+def _batches(ks: np.ndarray, row: np.ndarray, facets: np.ndarray):
+    """Yield (lo, ind): face indicators of K^b for the rows lo, lo + 1, ...
+
+    ks are the rows' support sizes, in ascending order, and (row, facets)
+    their facet pairs in row order, so that a batch (_batch_rows) is a
+    slice of both.  A batch is padded to its widest support size k.  The
+    vertices above a row's own support lie in no face, so they are never a
+    cone point, never matched and never critical, and the batch settles
+    each complex as one of its own size would.
+    """
+    for lo, hi, k in _batch_rows(ks):
+        i, j = np.searchsorted(row, (lo, hi))
+        yield lo, _face_indicators(hi - lo, row[i:j] - lo, facets[i:j], k)
 
 
 def _faces_per_word(words: np.ndarray, mask: np.uint64, out: np.ndarray) -> np.ndarray:
@@ -454,8 +462,13 @@ def _batch_homology(ind: np.ndarray, p: int):
 # ---------------------------------------------------------------------------
 
 def _unique(codes: np.ndarray) -> np.ndarray:
-    """The distinct values of codes, sorted, by one sort and a neighbour test."""
-    codes = np.sort(codes, axis=None)
+    """The distinct values of codes, sorted, by one sort and a neighbour test.
+
+    codes is flattened and sorted in place, so callers pass an array of
+    their own.
+    """
+    codes = codes.reshape(-1)
+    codes.sort()
     if codes.size == 0:
         return codes
     return codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
@@ -533,7 +546,7 @@ def _lcm_lattice_encoded(
     ones = code(sum(1 << int(s) for s in shifts))
     gens = _unary_codes(G, w)
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
-    seen = _unique(gens[G[:, 0] > 0] if anchored else gens)
+    seen = _unique(gens[G[:, 0] > 0] if anchored else gens.copy())
     frontier = _not_full(seen, gens, low, step) if prune else seen
     kept, count = [frontier], frontier.size
     while frontier.size:
@@ -717,7 +730,7 @@ def _shift_closed(G: np.ndarray) -> bool:
     return bool(
         G.shape[1] > 1
         and G.any(axis=1).all()
-        and np.array_equal(np.roll(G[G[:, 0] == 0], -1, axis=1), G[G[:, -1] == 0])
+        and np.array_equal(G[G[:, 0] == 0, 1:], G[G[:, -1] == 0, :-1])
     )
 
 
@@ -787,12 +800,79 @@ def _write_entries(
     return BettiTable(n, p, rows[:, 0], rows[:, 1:], ranks[row[order]])
 
 
-def betti_table(
-    ideal: MonomialIdeal,
+def _walk(ideal: MonomialIdeal, lattice_cap: int):
+    """(G, lat, ks, shift, mirror): the points whose complexes are settled.
+
+    lat is the pruned walk, anchored when shift (_shift_closed) holds and
+    halved when mirror does: the reversal of the variables maps the sorted
+    generator rows G onto themselves.  G and lat come in the narrowest type
+    that holds their exponents, in which they compare fastest.  ks holds
+    the support size of each point.  Both caps, the lattice cap and
+    _MAX_SUPPORT, are checked here.
+    """
+    G = ideal.exponents
+    shift = _shift_closed(G)
+    lat = _lcm_lattice_encoded(G, lattice_cap, prune=True, anchored=shift)
+    mirror = ideal.ambient > 1 and np.array_equal(G[np.lexsort(G.T), ::-1], G)
+    if mirror:
+        lat = lat[_mirror_half(lat, _spans(lat, shift))]
+    small = np.min_scalar_type(max(int(G.max(initial=0)), int(lat.max(initial=0))))
+    lat = lat.astype(small)
+    ks = np.count_nonzero(lat, axis=1)
+    _refuse_wide(int(ks.max(initial=0)))
+    return G.astype(small), lat, ks, shift, mirror
+
+
+def _pooled_homology(pool: list, p: int):
+    """Yield (j, rows, c, h): dim H~_{c-1} K^b = h > 0 at those rows of chunk pool[j].
+
+    pool holds chunks (part, ks, row, facets) of any ideals.  A pool of one
+    chunk is batched as it is; the rows of several are merged by support
+    size first, stably, and their facet pairs follow their rows.  K^b is
+    built from the facets alone, so a batch settles the complexes of
+    several ideals at once.  rows, c and h are arrays, one item per class.
+    """
+    if len(pool) == 1:
+        (_, ks, row, facets), = pool
+    else:
+        starts = np.cumsum([0] + [len(ks) for _, ks, _, _ in pool])
+        ks = np.concatenate([ks for _, ks, _, _ in pool])
+        merged = np.argsort(ks, kind="stable")
+        ks = ks[merged]
+        at = np.empty(merged.size, dtype=np.uint32)  # the merged place of each row
+        at[merged] = np.arange(merged.size, dtype=np.uint32)
+        row = at[np.concatenate([row + np.uint32(start)
+                                 for (_, _, row, _), start in zip(pool, starts.tolist())])]
+        by = np.argsort(row, kind="stable")
+        row, facets = row[by], np.concatenate([f for *_, f in pool])[by]
+    found = []
+    for lo, ind in _batches(ks, row, facets):
+        hits = np.array(list(_batch_homology(ind, p)), dtype=np.int64).reshape(-1, 3)
+        hits[:, 0] += lo
+        found.append(hits)
+    rows, c, h = np.concatenate(found).T
+    if len(pool) == 1:
+        yield 0, rows, c, h
+        return
+    rows = merged[rows]
+    owner = np.searchsorted(starts, rows, side="right") - 1
+    by = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[by], np.arange(len(pool) + 1))
+    for j in np.flatnonzero(np.diff(bounds)).tolist():
+        mine = by[bounds[j] : bounds[j + 1]]
+        yield j, rows[mine] - starts[j], c[mine], h[mine]
+
+
+def betti_tables(
+    ideals: Iterable[MonomialIdeal],
     fieldspec: FieldSpec = GF2,
     lattice_cap: int = DEFAULT_LATTICE_CAP,
-) -> BettiTable:
-    """Full multigraded Betti table of the ideal over GF(p).
+) -> list[BettiTable | SizeCapExceededError]:
+    """The full multigraded Betti table of each ideal over GF(p), in order.
+
+    An ideal whose walk trips the lattice cap, or whose support is too wide
+    for the face enumeration, gets the SizeCapExceededError instead, and the
+    other ideals still get their tables.
 
     Only lattice points whose K^b is not a full simplex are visited.
     beta_{i,b} depends only on the generators dividing x^b, which build K^b.
@@ -803,25 +883,73 @@ def betti_table(
     x_i -> x_{n+1-i} fixes the generators, it maps K^b onto K^{rev b}, so
     beta_{i,b} = beta_{i,rev b}; with translation, beta_{i,b} equals the
     beta of the reversed window rev(b[:m]).  Then one of each pair is
-    computed, within the window.  The complexes are settled a batch at a
-    time by element matchings (_batch_homology); a rank is taken only for
-    those whose critical faces have two or more sizes.
+    computed, within the window.
+
+    Each ideal walks its own lattice, under its own caps, and finds its own
+    facet pairs a chunk at a time (_koszul_chunk).  beta_{i,b} depends on
+    K^b alone, so the chunks of consecutive ideals are pooled while their
+    costs fit _CHUNK_BYTES, and each pool is settled in batches by element
+    matchings (_pooled_homology); a rank is taken only for the complexes
+    whose critical faces have two or more sizes.
     """
     p = fieldspec.characteristic
-    if ideal.is_zero():
-        return BettiTable(ideal.ambient, p, (), (), ())
-    n = ideal.ambient
-    G = ideal.exponents
-    shift = _shift_closed(G)
-    lat = _lcm_lattice_encoded(G, lattice_cap, prune=True, anchored=shift)
-    # reversing the variables maps the sorted rows onto themselves
-    mirror = n > 1 and np.array_equal(G[np.lexsort(G.T), ::-1], G)
-    if mirror:
-        lat = lat[_mirror_half(lat, _spans(lat, shift))]
-    # each walked point with homology, and its (point's row, i, rank)
-    points, found = [np.zeros((0, n), dtype=np.int64)], [np.zeros((0, 3), dtype=np.int64)]
-    for part, ind in _koszul_batches(G, lat):
-        found.append(np.array(list(_batch_homology(ind, p)), dtype=np.int64).reshape(-1, 3))
-        points.append(part[found[-1][:, 0]])
-    _, index, ranks = np.concatenate(found).T
-    return _write_entries(n, p, np.concatenate(points), index, ranks, shift, mirror)
+    ideals = list(ideals)
+    tables: list = [None] * len(ideals)
+    walks = {}  # slot -> (shift, mirror) of each ideal walked
+    found = {}  # slot -> [points], [i], [rank] of its walked entries
+    pool, owners, held = [], [], 0  # chunks, the slot of each, their cost
+    none = np.zeros(0, dtype=np.int64)
+
+    def settle():
+        for j, rows, c, h in _pooled_homology(pool, p):
+            for entries, new in zip(found[owners[j]], (pool[j][0][rows], c, h)):
+                entries.append(new)
+        pool.clear()
+        owners.clear()
+
+    for slot, ideal in enumerate(ideals):
+        n = ideal.ambient
+        if ideal.is_zero():
+            tables[slot] = BettiTable(n, p, (), (), ())
+            continue
+        try:
+            G, lat, ks, shift, mirror = _walk(ideal, lattice_cap)
+        except SizeCapExceededError as exc:
+            # Dropping the traceback frees the walk it holds.
+            tables[slot] = exc.with_traceback(None)
+            continue
+        walks[slot] = shift, mirror
+        found[slot] = ([np.zeros((0, n), dtype=np.int64)], [none], [none])
+        # A chunk's rows cost q * n * 8 bytes each; a full pool is settled
+        # before the next chunk's facet pairs are found.
+        row_cost = max(1, G.size * 8)
+        step = max(1, _CHUNK_BYTES // row_cost)
+        for lo in range(0, lat.shape[0], step):
+            cost = min(step, lat.shape[0] - lo) * row_cost
+            if pool and held + cost > _CHUNK_BYTES:
+                settle()
+                held = 0
+            pool.append(_koszul_chunk(G, lat[lo : lo + step], ks[lo : lo + step]))
+            owners.append(slot)
+            held += cost
+    if pool:
+        settle()
+    for slot, entries in found.items():
+        tables[slot] = _write_entries(ideals[slot].ambient, p,
+                                      *map(np.concatenate, entries), *walks[slot])
+    return tables
+
+
+def betti_table(
+    ideal: MonomialIdeal,
+    fieldspec: FieldSpec = GF2,
+    lattice_cap: int = DEFAULT_LATTICE_CAP,
+) -> BettiTable:
+    """The full multigraded Betti table of one ideal over GF(p): betti_tables([ideal])[0].
+
+    Raises the SizeCapExceededError that betti_tables puts in its place.
+    """
+    table = betti_tables([ideal], fieldspec, lattice_cap)[0]
+    if isinstance(table, SizeCapExceededError):
+        raise table
+    return table

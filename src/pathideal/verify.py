@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ._version import __version__
-from .cache import BettiCache, cached_betti_table, resolve_cache_dir
+from .cache import BettiCache, cached_betti_table, cached_betti_tables, resolve_cache_dir
 from .errors import ColonFormMismatchError, PathIdealError, SizeCapExceededError
 from .formulas import (
     linear_resolution_predicate,
@@ -276,20 +276,45 @@ class _CellState:
         kept.setflags(write=False)
         return MonomialIdeal(self.n, kept, validate=False)
 
+    def _table_key(self, p: int, j: int | None) -> tuple:
+        # At s = 1 every u_j is a generator of I, so the sum is I itself.
+        return ("table", None if self.s == 1 else j, p)
+
+    def _table_ideal(self, key: tuple) -> MonomialIdeal:
+        _, j, _ = key
+        return self.power_ideal() if j is None else self.augmented(j)
+
     def table(self, p: int, j: int | None = None) -> BettiTable:
         """The table of I^s, or of I^s + (u_j, ..., u_{n-t+1}), over GF(p).
 
         Memoized by (j, p), so the cache is read at most once per table and
-        cell.  At s = 1 every u_j is a generator of I, so the sum is I
-        itself and j is dropped.
+        cell; at s = 1, j is dropped.  A sweep settles its tables ahead of
+        its rows (_settle_tables); the CLI builds each one here, on demand.
         """
-        j = None if self.s == 1 else j
+        key = self._table_key(p, j)
+        return self._get(key, lambda: cached_betti_table(
+            self._table_ideal(key), FieldSpec(p), self.cache, self.lattice_cap))
 
-        def build() -> BettiTable:
-            ideal = self.power_ideal() if j is None else self.augmented(j)
-            return cached_betti_table(ideal, FieldSpec(p), self.cache, self.lattice_cap)
 
-        return self._get(("table", j, p), build)
+def _settle_tables(states: list[_CellState], wanted: list, cache: BettiCache,
+                   lattice_cap: int) -> None:
+    """Memoize the tables (p, j) in wanted[i] of states[i], one oracle pass per p.
+
+    A table whose ideal cannot be built is left to the row that reads it,
+    which reports the ideal's error, as it would without this pass.
+    """
+    by_char: dict[int, dict] = {}
+    for state, tables in zip(states, wanted):
+        for p, j in tables:
+            key = state._table_key(p, j)
+            try:
+                by_char.setdefault(p, {})[state, key] = state._table_ideal(key)
+            except PathIdealError:
+                continue
+    for p, ideals in by_char.items():
+        found = cached_betti_tables(ideals.values(), FieldSpec(p), cache, lattice_cap)
+        for (state, key), table in zip(ideals, found):
+            state._memo[key] = table
 
 
 @dataclass(frozen=True)
@@ -302,6 +327,9 @@ class _Quantity:
     command: str
     flags: str = ""
     report_only: bool = False
+    # (p, j) of the table the oracle reads, if any: a sweep settles these
+    # before its rows run
+    table: tuple[int, int | None] | None = None
 
 
 def _generators(state: _CellState) -> Any:
@@ -404,14 +432,17 @@ def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]
         char = f"--char {p}"
         reg = partial(_read, p, BettiTable.quotient_regularity)
         linear = partial(_read, p, BettiTable.is_linear)
-        yield _Quantity(f"reg{at}", reg_power(n, t, s), reg, "reg", char)
+        table = (p, None)
+        yield _Quantity(f"reg{at}", reg_power(n, t, s), reg, "reg", char, table=table)
         yield _Quantity(f"linear_resolution{at}", linear_resolution_predicate(n, t),
-                        linear, "betti", char)
+                        linear, "betti", char, table=table)
         if overlap:
             betti = [betti_closed_form(n, t, s, i) for i in range(min(n - t, s) + 1)]
             pd = partial(_read, p, BettiTable.quotient_projective_dimension)
-            yield _Quantity(f"betti{at}", betti, partial(_betti, p), "betti", char)
-            yield _Quantity(f"pd{at}", pd_closed_form(n, t, s), pd, "betti", char)
+            yield _Quantity(f"betti{at}", betti, partial(_betti, p), "betti", char,
+                            table=table)
+            yield _Quantity(f"pd{at}", pd_closed_form(n, t, s), pd, "betti", char,
+                            table=table)
     if overlap:
         census = [s_k_closed_form(n, t, s, k) for k in range(1, n - t + 1)]
         quotients = "--mode quotients"
@@ -433,7 +464,7 @@ def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]
                 f"reg_augmented_j{j}",
                 reg_power(n, t, s) if overlap else reg_power_augmented(n, t, s, j),
                 partial(_augmented, cfg.chars[0], j), "verify", sweep,
-                report_only=overlap,
+                report_only=overlap, table=(cfg.chars[0], j),
             )
 
 
@@ -471,22 +502,55 @@ def _row(state: _CellState, q: _Quantity) -> Row:
     return Row(n, t, s, q.name, q.formula, oracle, status, ms, repro=repro)
 
 
-def _cell_rows(cfg: SweepConfig, cell: tuple[int, int, int]) -> tuple[list[Row], int]:
-    """The rows of one cell, and the number of cache entries it evicted."""
+def _shares(cfg: SweepConfig, cells: list) -> list[list[tuple[int, int, int]]]:
+    """The cells dealt into min(jobs, cells) shares of about equal oracle cost.
+
+    Cells go largest first, each to the share with the least cost so far.
+    A cell's cost is the generator count of I^s times the number of
+    tables it settles on the first characteristic: I^s and, where they
+    are checked, its n - t augmented ideals.
+    """
+    def cost(cell):
+        n, t, s = cell
+        augmented = n - t if 2 <= s <= cfg.augmented_s_max else 0
+        return composition_count(s, n - t + 1) * (1 + augmented)
+
+    shares = [[] for _ in range(min(cfg.jobs, len(cells)))]
+    loads = [0] * len(shares)
+    for cell in sorted(cells, key=cost, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(cell)
+        loads[least] += cost(cell)
+    return [sorted(share) for share in shares]
+
+
+def _share_rows(cfg: SweepConfig, cells: list) -> tuple[list[Row], int]:
+    """The rows of a share of cells, and the number of cache entries it evicted.
+
+    The tables that the rows read are settled first, all together, so no
+    row's ms holds a table's build time.
+    """
     cache = BettiCache(cfg.cache_dir)
-    state = _CellState(*cell, cache, cfg.power_cap, cfg.lattice_cap)
-    return [_row(state, q) for q in _quantities(cfg, *cell)], cache.evictions
+    states = [_CellState(*cell, cache, cfg.power_cap, cfg.lattice_cap) for cell in cells]
+    quantities = [list(_quantities(cfg, *cell)) for cell in cells]
+    wanted = [dict.fromkeys(q.table for q in qs if q.table is not None) for qs in quantities]
+    _settle_tables(states, wanted, cache, cfg.lattice_cap)
+    rows = [_row(state, q) for state, qs in zip(states, quantities) for q in qs]
+    return rows, cache.evictions
 
 
 def run_sweep(cfg: SweepConfig) -> VerificationReport:
-    """Run every cell of the grid and assemble the deterministic report."""
-    cells = sweep_cells(cfg)
-    cell_rows = partial(_cell_rows, cfg)
-    if cfg.jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(cells))) as pool:
-            parts = list(pool.map(cell_rows, cells))
+    """Run every cell of the grid and assemble the deterministic report.
+
+    The grid is dealt into shares (_shares), one per worker process.
+    """
+    shares = _shares(cfg, sweep_cells(cfg))
+    share_rows = partial(_share_rows, cfg)
+    if len(shares) > 1:
+        with ProcessPoolExecutor(max_workers=len(shares)) as pool:
+            parts = list(pool.map(share_rows, shares))
     else:
-        parts = list(map(cell_rows, cells))
+        parts = list(map(share_rows, shares))
     evicted = sum(count for _, count in parts)
     if evicted:
         log.warning("evicted %d corrupt or outdated cache entries from %s",

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +33,13 @@ from pathideal.oracle import (
     _unique,
     _vertex_degrees,
     betti_table,
+    betti_tables,
     gf2_rank,
     gfp_rank,
     lcm_lattice,
 )
 from pathideal.path_ideals import PathIdealSpec, line_graph_generators, path_ideal
-from pathideal.verify import SweepConfig, run_sweep
+from pathideal.verify import SweepConfig, run_sweep, sweep_cells
 from support import (
     betti_via_public_route,
     contains,
@@ -503,7 +506,9 @@ def test_koszul_batches_pad_rows_without_adding_faces(monkeypatch, floor):
     i = power(9, 2, 2)
     G = np.array([g.exponents for g in i.generators], dtype=np.int64)
     lat = _lcm_lattice_encoded(G, 10**6, prune=True)
-    batches = list(oracle_mod._koszul_batches(G, lat))
+    part, ks, row, facets = oracle_mod._koszul_chunk(G, lat, np.count_nonzero(lat, axis=1))
+    batches = [(part[lo : lo + len(ind)], ind)
+               for lo, ind in oracle_mod._batches(ks, row, facets)]
     assert len(batches) == len(calls)
     # Every row is batched exactly once.
     rows = np.concatenate([part for part, _ in batches])
@@ -570,28 +575,143 @@ def test_random_tables_do_not_depend_on_the_merge_floor(gens, p):
 
 
 def test_default_grid_settles_in_141_batches(tmp_path, monkeypatch):
-    # Pins the merge of small support sizes: with one batch per support
-    # size, as _MERGE_BYTES = 0 gives, the grid's 121 tables took 566.
+    # Pins the pooling of a sweep's tables and the merge of small support
+    # sizes: a --jobs 1 sweep settles the grid's 121 tables in one oracle
+    # pass of 6 batches.  One table at a time they take 141, and with one
+    # batch per support size, as _MERGE_BYTES = 0 gives, 566.
     ideals, batches = [], []
-    real_table, real_homology = verify_mod.cached_betti_table, oracle_mod._batch_homology
+    real_tables, real_homology = verify_mod.cached_betti_tables, oracle_mod._batch_homology
 
-    def table_spy(i, *args):
-        ideals.append(i)
-        return real_table(i, *args)
+    def tables_spy(given, *args):
+        given = list(given)
+        ideals.extend(given)
+        return real_tables(given, *args)
 
     def homology_spy(ind, p):
         batches.append(len(ind))
         return real_homology(ind, p)
 
-    monkeypatch.setattr(verify_mod, "cached_betti_table", table_spy)
+    monkeypatch.setattr(verify_mod, "cached_betti_tables", tables_spy)
     monkeypatch.setattr(oracle_mod, "_batch_homology", homology_spy)
     run_sweep(SweepConfig(cache_dir=str(tmp_path / "cache")))
-    assert (len(ideals), len(batches)) == (121, 141)
+    assert (len(ideals), len(batches)) == (121, 6)
+    batches.clear()
+    for i in ideals:
+        betti_table(i)
+    assert len(batches) == 141
     batches.clear()
     monkeypatch.setattr(oracle_mod, "_MERGE_BYTES", 0)
     for i in ideals:
         betti_table(i)
     assert len(batches) == 566
+
+
+# ---------------------------------------------------------------- pooled tables
+
+
+def grid_ideals(cfg: SweepConfig) -> dict:
+    """{cell: the ideals of the tables a sweep settles for it}, first p only."""
+    out = {}
+    for cell in sweep_cells(cfg):
+        state = verify_mod._CellState(*cell, None, cfg.power_cap, cfg.lattice_cap)
+        keys = dict.fromkeys(state._table_key(*q.table)
+                             for q in verify_mod._quantities(cfg, *cell) if q.table)
+        out[cell] = [state._table_ideal(key) for key in keys]
+    return out
+
+
+def test_betti_tables_match_each_ideal_alone_on_the_default_grid():
+    cfg = SweepConfig()
+    by_cell = grid_ideals(cfg)
+    every = [i for ideals in by_cell.values() for i in ideals]
+    assert len(every) == 121
+    alone = {id(i): betti_table(i) for i in every}
+    shares = verify_mod._shares(dataclasses.replace(cfg, jobs=2), sweep_cells(cfg))
+    lists = [every, *by_cell.values()]
+    lists += [[i for cell in share for i in by_cell[cell]] for share in shares]
+    for ideals in lists:
+        assert betti_tables(ideals) == [alone[id(i)] for i in ideals]
+
+
+def chunk_owners(monkeypatch) -> list[set]:
+    """Spy: the set of ideals, numbered in walk order, of each pool's chunks."""
+    gens, owner, pools = [], {}, []  # gens keeps each G alive, so its id stays its own
+    real_chunk, real_pool = oracle_mod._koszul_chunk, oracle_mod._pooled_homology
+
+    def chunk(G, lat, ks):
+        if not any(G is seen for seen in gens):
+            gens.append(G)
+        made = real_chunk(G, lat, ks)
+        owner[id(made[0])] = next(at for at, seen in enumerate(gens) if G is seen)
+        return made
+
+    def pooled(pool, p):
+        pools.append({owner[id(part)] for part, *_ in pool})
+        return real_pool(pool, p)
+
+    monkeypatch.setattr(oracle_mod, "_koszul_chunk", chunk)
+    monkeypatch.setattr(oracle_mod, "_pooled_homology", pooled)
+    return pools
+
+
+def test_a_pool_spans_ideal_boundaries(monkeypatch):
+    # With a small chunk budget the larger ideals take several chunks and
+    # the smaller ones share pools, so a pool holds parts of several ideals.
+    ideals = [i for ideals in grid_ideals(SweepConfig(n_max=7, s_max=2)).values()
+              for i in ideals]
+    alone = [betti_table(i) for i in ideals]
+    monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", 1 << 14)
+    pools = chunk_owners(monkeypatch)
+    for p, want in [(2, alone), (3, [betti_table(i, FieldSpec(3)) for i in ideals])]:
+        pools.clear()
+        assert betti_tables(ideals, FieldSpec(p)) == want
+        assert any(len(owners) > 1 for owners in pools)
+        spans = Counter(slot for owners in pools for slot in owners)
+        assert max(spans.values()) > 1
+
+
+ZERO_AND_UNIT = [MonomialIdeal(4, ()), minimalize([Monomial((0, 0))], ambient=2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.integers(1, 6).flatmap(lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=5))),
+        min_size=1, max_size=6,
+    ),
+    st.sampled_from([2, 3]),
+    st.sampled_from([None, 1 << 10]),
+    st.integers(0, 6),
+)
+def test_betti_tables_match_each_ideal_alone_on_random_ideals(specs, p, chunk, at):
+    ideals = [minimalize([Monomial(g) for g in gens], ambient=n) for n, gens in specs]
+    ideals[at:at] = ZERO_AND_UNIT
+    alone = [betti_table(i, FieldSpec(p)) for i in ideals]
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk is not None:  # a pool then spans ideal boundaries
+            patch.setattr(oracle_mod, "_CHUNK_BYTES", chunk)
+        assert betti_tables(ideals, FieldSpec(p)) == alone
+    assert alone[min(at, len(specs))].is_empty()
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 12])
+def test_a_refused_ideal_gets_its_error_and_the_others_their_tables(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(oracle_mod, "_CHUNK_BYTES", chunk)
+    big = power(6, 2, 3)
+    kept = len(_lcm_lattice_encoded(big.exponents, 10**6, prune=True, anchored=True))
+    wide = ideal(["*".join(f"x{j}" for j in range(1, 26))], 25)
+    ideals = [power(5, 2, 2), augmented(7, 2, 2, 3), big, ZERO_AND_UNIT[0],
+              wide, ideal(["x1*x2", "x2*x3^2"], 3), power(4, 2, 1)]
+    got = betti_tables(ideals, GF2, kept - 1)
+    assert isinstance(got[2], SizeCapExceededError) and got[2].count == kept
+    assert isinstance(got[4], SizeCapExceededError) and got[4].count == 25
+    assert "face-enumeration limit" in str(got[4])
+    for at in (0, 1, 3, 5, 6):
+        assert got[at] == betti_table(ideals[at], GF2, kept - 1) == betti_table(ideals[at])
+    with pytest.raises(SizeCapExceededError):
+        betti_table(big, GF2, kept - 1)
 
 
 # ---------------------------------------------------------------- lcm lattice
@@ -885,13 +1005,13 @@ def translates(w: tuple[int, ...], ambient: int) -> set[tuple[int, ...]]:
 
 def test_betti_computes_one_of_each_mirror_pair(monkeypatch):
     visited = []
-    real = oracle_mod._koszul_batches
+    real = oracle_mod._koszul_chunk
 
-    def spy(G, lat):
+    def spy(G, lat, ks):
         visited.extend(tuple(b) for b in lat.tolist())
-        return real(G, lat)
+        return real(G, lat, ks)
 
-    monkeypatch.setattr(oracle_mod, "_koszul_batches", spy)
+    monkeypatch.setattr(oracle_mod, "_koszul_chunk", spy)
     # Path powers are fixed by translation and by the reversal: only points
     # with b_1 > 0 are computed, one of each mirror pair of windows b[:m],
     # m the last nonzero position.  Palindromic windows are computed once

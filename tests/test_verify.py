@@ -29,10 +29,11 @@ from pathideal.cache import (
     BettiCache,
     betti_cache_key,
     cached_betti_table,
+    cached_betti_tables,
     resolve_cache_dir,
 )
 from pathideal.cli import _sweep_config, build_parser, main
-from pathideal.errors import ColonFormMismatchError, PathIdealError
+from pathideal.errors import ColonFormMismatchError, PathIdealError, SizeCapExceededError
 from pathideal.monomials import Monomial, minimalize
 from pathideal.oracle import DEFAULT_LATTICE_CAP, GF2, FieldSpec, betti_table
 from pathideal.path_ideals import composition_count
@@ -334,6 +335,12 @@ def test_parallel_sweep_matches_serial(tmp_path):
     serial = run_sweep(tiny_config(tmp_path / "c1"))
     parallel = run_sweep(tiny_config(tmp_path / "c2", jobs=2))
     assert serial.canonical_json() == parallel.canonical_json()
+    # the shares depend on jobs, the tables do not
+    assert run_sweep(tiny_config(tmp_path / "c3", jobs=3)).canonical_json() == (
+        serial.canonical_json())
+    entries = [sorted((path.name, path.read_bytes()) for path in (tmp_path / c).glob("*.pibt"))
+               for c in ("c1", "c2", "c3")]
+    assert entries[0] and entries == [entries[0]] * 3
     # jobs and cache_dir stay in the full report, for --config replay
     config = json.loads(parallel.to_json())["config"]
     assert (config["jobs"], config["cache_dir"]) == (2, str(tmp_path / "c2"))
@@ -363,6 +370,66 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
     assert report.config["jobs"] == 64  # the report keeps what was asked for
 
 
+def share_cost(cfg: SweepConfig, cell) -> int:
+    n, t, s = cell
+    return composition_count(s, n - t + 1) * (
+        1 + (n - t if 2 <= s <= cfg.augmented_s_max else 0))
+
+
+def test_shares_split_the_grid_greedily_by_cost():
+    cfg = SweepConfig()
+    cells = sweep_cells(cfg)
+    for jobs in (1, 2, 3, 100):
+        shares = verify_mod._shares(dataclasses.replace(cfg, jobs=jobs), cells)
+        assert len(shares) == min(jobs, len(cells))
+        assert sorted(c for share in shares for c in share) == cells
+        assert all(share == sorted(share) for share in shares)
+        # Largest first, each to the lightest share: the loads differ by at
+        # most one cell's cost.
+        loads = [sum(share_cost(cfg, c) for c in share) for share in shares]
+        assert max(loads) - min(loads) <= max(share_cost(cfg, c) for c in cells)
+    # (9,2,2) settles I^2 and its 7 augmented ideals, over 36 generators
+    assert share_cost(cfg, (9, 2, 2)) == 36 * 8 == max(share_cost(cfg, c) for c in cells)
+
+
+def test_each_quantity_names_the_table_its_oracle_reads(tmp_path):
+    # A share settles the tables its quantities name before any row runs,
+    # so a quantity that read another table would build it on its own.
+    cfg = tiny_config(tmp_path / "cache", n_max=6, chars=(2, 3))
+    cache = BettiCache(cfg.cache_dir)
+    for cell in sweep_cells(cfg):
+        state = verify_mod._CellState(*cell, cache, cfg.power_cap, cfg.lattice_cap)
+        read, real = [], state.table
+        state.table = lambda p, j=None: read.append((p, j)) or real(p, j)
+        quantities = list(verify_mod._quantities(cfg, *cell))
+        assert any(q.table for q in quantities) and not all(q.table for q in quantities)
+        for q in quantities:
+            read.clear()
+            q.oracle(state)
+            assert read == ([q.table] if q.table else []), (cell, q.name)
+
+
+def test_a_share_settles_its_tables_before_its_rows(tmp_path, monkeypatch):
+    calls = []
+    real = verify_mod.cached_betti_tables
+
+    def spy(ideals, fieldspec, *args):
+        ideals = list(ideals)
+        calls.append((fieldspec.characteristic, len(ideals)))
+        return real(ideals, fieldspec, *args)
+
+    monkeypatch.setattr(verify_mod, "cached_betti_tables", spy)
+    monkeypatch.setattr(verify_mod, "cached_betti_table", None)  # no table on demand
+    cfg = tiny_config(tmp_path / "cache", n_max=5, chars=(2, 3), jobs=1)
+    report = run_sweep(cfg)
+    # one list per characteristic: I^s of each cell, and the augmented ideals
+    # of its first characteristic
+    cells = sweep_cells(cfg)
+    augmented = sum(n - t for n, t, s in cells if s == 2)
+    assert calls == [(2, len(cells) + augmented), (3, len(cells))]
+    assert report.summary["fail"] == 0
+
+
 def test_sweep_reads_each_table_once_per_cell(tmp_path, monkeypatch):
     # In an s = 1 cell every augmented ideal I + (u_j, ..., u_k) is I itself.
     lookups, real = [], BettiCache.lookup
@@ -374,10 +441,12 @@ def test_sweep_reads_each_table_once_per_cell(tmp_path, monkeypatch):
     cold = run_sweep(cfg)
     warm = run_sweep(cfg)
     assert cold.canonical_json() == warm.canonical_json()
-    # every cell has its own BettiCache, kept alive here so ids stay unique
-    per_cell = Counter((id(cache), key) for cache, key in lookups)
-    assert len({id(cache) for cache, _ in lookups}) == 2 * len(sweep_cells(cfg))
-    assert max(per_cell.values()) == 1
+    # every share has its own BettiCache, kept alive here so ids stay unique;
+    # at --jobs 1 the whole grid is one share
+    per_share = Counter((id(cache), key) for cache, key in lookups)
+    shares = verify_mod._shares(cfg, sweep_cells(cfg))
+    assert len({id(cache) for cache, _ in lookups}) == 2 * len(shares) == 2
+    assert max(per_share.values()) == 1
 
 
 def test_sweep_is_deterministic(tmp_path):
@@ -493,6 +562,28 @@ def test_betti_row_names_the_entries_off_the_linear_strand():
     assert verify_mod._betti(2, state) == [2, 1]
 
 
+def test_cached_betti_tables_settle_the_misses_in_one_call(tmp_path, monkeypatch):
+    calls, real = [], cache_mod.betti_tables
+    monkeypatch.setattr(cache_mod, "betti_tables", lambda ideals, *args: calls.append(
+        list(ideals)) or real(calls[-1], *args))
+    cache = BettiCache(tmp_path / "cache")
+    hit = cached_betti_table(EDGE_IDEAL_3, GF2, cache)
+    other = minimalize([m("x1^2", 2), m("x1*x2", 2)], ambient=2)
+    wide = minimalize([m("*".join(f"x{j}" for j in range(1, 26)), 25)], ambient=25)
+    got = cached_betti_tables([other, EDGE_IDEAL_3, wide, other], GF2, cache)
+    # each key looked up once; the two misses settled in one call
+    assert calls[1:] == [[other, wide]]
+    assert (cache.hits, cache.misses) == (1, 3)
+    assert got[0] is got[3] and got[0] == betti_table(other)
+    assert got[1] == hit
+    assert isinstance(got[2], SizeCapExceededError)
+    # the refused ideal is not stored
+    assert len(list((tmp_path / "cache").glob("*.pibt"))) == 2
+    with pytest.raises(SizeCapExceededError):
+        cached_betti_table(wide, GF2, cache)
+    assert cached_betti_tables([], GF2, cache) == [] and len(calls) == 3
+
+
 def test_cache_key_separates_characteristics(tmp_path):
     cache = BettiCache(tmp_path / "cache")
     cached_betti_table(EDGE_IDEAL_3, GF2, cache)
@@ -538,9 +629,15 @@ def test_warm_sweep_over_a_json_keyed_cache_recomputes(tmp_path, monkeypatch):
     cfg = tiny_config(tmp_path / "new", n_min=4, s_max=2, jobs=1)
     old = tmp_path / "old"
     old.mkdir()
-    tables = []
-    monkeypatch.setattr(cache_mod, "betti_table", lambda *args: tables.append(
-        (args[0], betti_table(*args))) or tables[-1][1])
+    tables, real = [], cache_mod.betti_tables
+
+    def spy(ideals, *args):
+        ideals = list(ideals)
+        found = real(ideals, *args)
+        tables.extend(zip(ideals, found))
+        return found
+
+    monkeypatch.setattr(cache_mod, "betti_tables", spy)
     want = run_sweep(cfg)
     for ideal, table in tables:
         key = json_cache_key(ideal, table.characteristic, DEFAULT_LATTICE_CAP)
@@ -789,7 +886,7 @@ def test_second_sweep_is_served_from_cache(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("oracle invoked despite warm cache")
 
-    monkeypatch.setattr(cache_mod, "betti_table", boom)
+    monkeypatch.setattr(cache_mod, "betti_tables", boom)
     second = run_sweep(cfg)
     assert first.canonical_json() == second.canonical_json()
 
@@ -816,13 +913,23 @@ def test_perfbench_tracer_targets_exist(tmp_path, monkeypatch):
     finally:
         tracer.uninstall()
     stats = tracer.stats()
-    assert {"cache.lookup", "cache.store", "oracle.betti_table"} <= set(stats)
+    assert {"cache.lookup", "cache.store"} <= set(stats)
     # the sweep's linearity work reaches the tracer: one call per cell
     cells = sweep_cells(cfg)
     overlap = sum(n <= 2 * t for n, t, _ in cells)
     assert 0 < overlap < len(cells)
     assert stats["linearity.linear_quotients_check"].calls == overlap
     assert stats["linearity.quasi_linear_witness"].calls == len(cells) - overlap
+    # a sweep settles its tables in lists; the ladder calls betti_table itself
+    package = importlib.import_module("pathideal")
+    i = package.ideal_power(package.path_ideal(package.PathIdealSpec(6, 2)), 2)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        package.betti_table(i, GF2)
+    finally:
+        tracer.uninstall()
+    assert tracer.stats()["oracle.betti_table"].calls == 1
 
 
 # ---------------------------------------------------------------- config file
