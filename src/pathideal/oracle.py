@@ -77,10 +77,13 @@ _MAX_SUPPORT = 24
 # pooled while their costs, q * n * 8 bytes a row, fit the budget; merging
 # them adds about 30 bytes a pair (a uint32 place, an intp order and the
 # sorted copies).  A batch of face indicators
-# holds at most _CHUNK_BYTES / 4 bytes, rows of max(8, 2^k) bytes for its
-# widest support size k, so that with the copy of its complexes that are not
-# cones and the scratch array of the same size that its closure and homology
-# add, it stays within.
+# is cut by _batch_rows at _CHUNK_BYTES / 4 bytes, counting max(8, 2^k) bytes
+# a row for its widest support size k.  Its peak is the boolean scratch array
+# its facets are marked in, max(64, 2^k) bytes a row; the words packed from
+# it are 1/8 of that, and the copy of its complexes that are not cones and
+# the scratch words that its closure and homology add are as large again
+# each.  For k >= 6 the scratch array is the count's size, so the batch stays
+# within; a row of k < 6 takes 64 bytes of it against the 8 to 32 counted.
 
 # Support sizes whose face indicators, padded to the widest of them, fit in
 # _MERGE_BYTES share one batch.  Every batch costs about 0.2 ms of numpy
@@ -209,13 +212,12 @@ def _homology_dims(cells: list[int], p: int) -> dict[int, int]:
     }
 
 
-# Face indicators are read 8 to a little-endian 64-bit word, one byte each.
-# _WITHOUT_VERTEX[v] marks the bytes of the faces without vertex v, v < 3.
+# Face indicators are bits, 64 faces to a little-endian 64-bit word, face f
+# at bit f % 64 of word f // 64.  _WITHOUT_VERTEX[v] marks the bits of the
+# faces without vertex v, v < 6.
 _WITHOUT_VERTEX = tuple(
-    np.uint64(sum(0xFF << (8 * f) for f in range(8) if not f >> v & 1))
-    for v in range(3)
+    np.uint64(sum(1 << f for f in range(64) if not f >> v & 1)) for v in range(6)
 )
-_BYTES = np.uint64(0x0101010101010101)
 
 
 def _refuse_wide(k: int) -> None:
@@ -261,34 +263,35 @@ def _facet_pairs(G: np.ndarray, lat: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def _face_indicators(
     rows: int, row: np.ndarray, facets: np.ndarray, k: int
 ) -> np.ndarray:
-    """Boolean (rows, max(8, 2^k)) array: row r marks the faces of one complex.
+    """(rows, max(1, 2^k / 64)) uint64 words: row r marks the faces of one complex.
 
     The complex of row r is the down-closure of the facets[i] with
     row[i] == r, uint32 bitmasks over k vertices; a row with no facet is
     void.  Every facet holds the empty face, so the closure marks it in
-    every row that has a facet.  Rows are whole 64-bit words of faces; the
-    vertices added for k < 3, and those above a row's own support in a
-    batch padded to a wider one, lie in no face.  The facets are marked
-    through one flat index, then closed downwards one vertex v at a time on
-    the word view, 8 faces a word: for v < 3 the face sigma + v is in the
-    word of sigma, 8 << v bits higher; for larger v it is 2^(v-3) words
+    every row that has a facet.  Face f is bit f % 64 of word f // 64
+    (_WITHOUT_VERTEX); the vertices added for k < 6, and those above a
+    row's own support in a batch padded to a wider one, lie in no face.
+    The facets are marked through one flat index in a boolean scratch
+    array of max(64, 2^k) columns, packed 64 to a word, then closed
+    downwards one vertex v at a time: for v < 6 the face sigma + v is in
+    the word of sigma, 2^v bits higher; for larger v it is 2^(v-6) words
     further on.  The flat index is uint32, so a batch holds fewer than 2^32
-    faces; _batches' hold 2^24 at most.
+    faces; _batches' hold 2^25 at most.
     """
-    width = max(8, 1 << k)
+    width = max(64, 1 << k)
     ind = np.zeros((rows, width), dtype=bool)
     at = row.astype(np.uint32, copy=False) * np.uint32(width) + facets
     ind.reshape(-1)[at] = True
-    words = ind.view("<u8")
+    words = np.packbits(ind, axis=1, bitorder="little").view("<u8")
     above = np.empty_like(words)
-    for v in range(min(k, 3)):
-        np.right_shift(words, np.uint64(8 << v), out=above)
+    for v in range(min(k, 6)):
+        np.right_shift(words, np.uint64(1 << v), out=above)
         above &= _WITHOUT_VERTEX[v]
         words |= above
-    for v in range(3, k):
-        pairs = words.reshape(rows, 1 << (k - 1 - v), 2, 1 << (v - 3))
+    for v in range(6, k):
+        pairs = words.reshape(rows, 1 << (k - 1 - v), 2, 1 << (v - 6))
         pairs[:, :, 0] |= pairs[:, :, 1]
-    return ind
+    return words
 
 
 def _batch_rows(ks: np.ndarray):
@@ -330,7 +333,7 @@ def _koszul_chunk(G: np.ndarray, lat: np.ndarray, ks: np.ndarray):
 
 
 def _batches(ks: np.ndarray, row: np.ndarray, facets: np.ndarray):
-    """Yield (lo, ind): face indicators of K^b for the rows lo, lo + 1, ...
+    """Yield (lo, words, k): face indicators of K^b for the rows lo, lo + 1, ...
 
     ks are the rows' support sizes, in ascending order, and (row, facets)
     their facet pairs in row order, so that a batch (_batch_rows) is a
@@ -341,37 +344,30 @@ def _batches(ks: np.ndarray, row: np.ndarray, facets: np.ndarray):
     """
     for lo, hi, k in _batch_rows(ks):
         i, j = np.searchsorted(row, (lo, hi))
-        yield lo, _face_indicators(hi - lo, row[i:j] - lo, facets[i:j], k)
+        yield lo, _face_indicators(hi - lo, row[i:j] - lo, facets[i:j], k), k
 
 
-def _faces_per_word(words: np.ndarray, mask: np.uint64, out: np.ndarray) -> np.ndarray:
-    """The number of faces in each word of words & mask, written to out."""
-    # The top byte of x * 0x0101...01 sums the 8 bytes of x, each 0 or 1.
-    np.bitwise_and(words, mask, out=out)
-    out *= _BYTES
-    out >>= np.uint64(56)
-    return out
+def _vertex_degrees(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(deg, faces): faces through each vertex, (rows, max(1, k)), and all, (rows,).
 
-
-def _vertex_degrees(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(deg, faces): faces through each vertex, (rows, k), and all, (rows,).
-
-    words is the (rows, 2^k / 8) word view of a batch of face indicators.
+    words is a batch of face indicators on k vertices (_face_indicators).
+    For k = 0, deg is one column of zeros, so that its max and argmax over
+    a row are defined.
     """
     rows, width = words.shape
-    k = (8 * width).bit_length() - 1
-    deg = np.empty((rows, k), dtype=np.int64)
-    count = np.empty_like(words)
-    for v in range(3):
-        deg[:, v] = _faces_per_word(words, ~_WITHOUT_VERTEX[v], count).sum(axis=1)
-    per_word = _faces_per_word(words, ~np.uint64(0), count)
-    for v in range(3, k):
-        pairs = per_word.reshape(rows, width >> (v - 2), 2, 1 << (v - 3))
+    deg = np.zeros((rows, max(1, k)), dtype=np.int64)
+    through = np.empty_like(words)
+    for v in range(min(k, 6)):
+        np.bitwise_and(words, ~_WITHOUT_VERTEX[v], out=through)
+        deg[:, v] = np.bitwise_count(through).sum(axis=1)
+    per_word = np.bitwise_count(words)
+    for v in range(6, k):
+        pairs = per_word.reshape(rows, width >> (v - 5), 2, 1 << (v - 6))
         deg[:, v] = pairs[:, :, 1].sum(axis=(1, 2))
     return deg, per_word.sum(axis=1)
 
 
-def _critical_counts(ind: np.ndarray) -> np.ndarray:
+def _critical_counts(words: np.ndarray, k: int) -> np.ndarray:
     """(rows, k + 1) counts of the critical faces of each row, by size.
 
     Element matchings on v = 0, ..., k - 1 in turn pair each face sigma
@@ -379,38 +375,34 @@ def _critical_counts(ind: np.ndarray) -> np.ndarray:
     part, so the faces left unmatched are the critical cells of an acyclic
     matching on the augmented chain complex, and H~(K) is the homology of a
     complex with one generator in dimension c - 1 per critical face of c
-    vertices.  ind, at least 8 faces wide, is overwritten.  The matchings
-    work on its word view: for v < 3 both faces of a pair share a word,
-    8 << v bits apart; for larger v they sit 2^(v-3) words apart.
+    vertices.  words, a batch of face indicators on k vertices, is
+    overwritten.  For v < 6 both faces of a pair share a word, 2^v bits
+    apart; for larger v they sit 2^(v-6) words apart.
     """
-    rows, size = ind.shape
-    k = size.bit_length() - 1
-    words = ind.view("<u8")
-    width = words.shape[1]
+    rows, width = words.shape
     both = np.empty_like(words)
-    at = np.arange(width)
-    for v in range(k):
-        if v < 3:
-            shift = np.uint64(8 << v)
-            np.right_shift(words, shift, out=both)
-            both &= words
-            both &= _WITHOUT_VERTEX[v]
-            words ^= both
-            both <<= shift
-            words ^= both
-        else:
-            d = 1 << (v - 3)
-            lo, hi, paired = words[:, :-d], words[:, d:], both[:, :-d]
-            np.bitwise_and(lo, hi, out=paired)
-            paired &= np.where(at[:-d] & d, np.uint64(0), ~np.uint64(0))
-            lo ^= paired
-            hi ^= paired
-    # Few faces are left: find their words first, then the bytes in them.
+    for v in range(min(k, 6)):
+        shift = np.uint64(1 << v)
+        np.right_shift(words, shift, out=both)
+        both &= words
+        both &= _WITHOUT_VERTEX[v]
+        words ^= both
+        both <<= shift
+        words ^= both
+    for v in range(6, k):
+        pairs = words.reshape(rows, width >> (v - 5), 2, 1 << (v - 6))
+        paired = both.reshape(pairs.shape)[:, :, 0]
+        np.bitwise_and(pairs[:, :, 0], pairs[:, :, 1], out=paired)
+        pairs[:, :, 0] ^= paired
+        pairs[:, :, 1] ^= paired
+    # Few faces are left: find their words first, then the bits in them.
     r, w = np.nonzero(words)
-    j, byte = np.nonzero(ind.reshape(rows, width, 8)[r, w])
-    r, f = r[j], 8 * w[j] + byte
-    sizes = sum((f >> v) & 1 for v in range(k))
-    counts = np.bincount(r * (k + 1) + sizes, minlength=rows * (k + 1))
+    bits = np.unpackbits(words[r, w].view(np.uint8).reshape(-1, 8), axis=1,
+                         bitorder="little")
+    j, bit = np.nonzero(bits)
+    r, f = r[j], 64 * w[j] + bit
+    counts = np.bincount(r * (k + 1) + np.bitwise_count(f),
+                         minlength=rows * (k + 1))
     return counts.reshape(rows, k + 1)
 
 
@@ -420,8 +412,9 @@ def _star_quotients(ind: np.ndarray, star: np.ndarray):
     The closed star st(v) of a vertex is a cone, so H~_d(K) = H_d(K, st v).
     The cells of K left are the faces sigma with sigma + v not in K; there
     are |K| - 2 deg v of them, the fewest for the vertex of largest degree.
-    cells are sorted bitmasks.  Only the complexes whose critical faces lie
-    in two or more dimensions come here, so every row has a vertex.
+    ind is boolean, one column per face; cells are sorted bitmasks.  Only
+    the complexes whose critical faces lie in two or more dimensions come
+    here, so every row has a vertex.
     """
     for r in range(ind.shape[0]):
         faces = np.flatnonzero(ind[r])
@@ -430,27 +423,28 @@ def _star_quotients(ind: np.ndarray, star: np.ndarray):
         yield rest[~ind[r, rest | bit]].tolist()
 
 
-def _batch_homology(ind: np.ndarray, p: int):
-    """Yield (r, c, h) for each row r of ind and each h = dim H~_{c-1}(K) > 0.
+def _batch_homology(words: np.ndarray, k: int, p: int):
+    """Yield (r, c, h) for each row r of words and each h = dim H~_{c-1}(K) > 0.
 
+    words is a batch of face indicators on k vertices (_face_indicators).
     A complex is a cone, and contributes nothing, when |K| = 2 max deg v.
     The others are matched (_critical_counts).  When the critical faces all
     have c vertices, the Morse complex has zero differential, so their
     number is dim H~_{c-1} and no rank is taken.  Complexes with critical
-    faces of two or more sizes are ranked on the closed-star quotient of
-    their vertex of largest degree.  ind is whole 64-bit words wide, as
-    _face_indicators makes it.
+    faces of two or more sizes are unpacked to one boolean per face and
+    ranked on the closed-star quotient of their vertex of largest degree.
     """
-    deg, faces = _vertex_degrees(ind.view("<u8"))
-    live = np.flatnonzero(faces > 2 * deg.max(axis=1, initial=0))
-    crit = _critical_counts(ind[live])
+    deg, faces = _vertex_degrees(words, k)
+    live = np.flatnonzero(faces > 2 * deg.max(axis=1))
+    crit = _critical_counts(words[live], k)
     dims = np.count_nonzero(crit, axis=1)
     single = crit[dims == 1]
     yield from zip(
         live[dims == 1].tolist(), single.argmax(axis=1).tolist(), single.max(axis=1).tolist()
     )
     ranked = live[dims > 1]
-    quotients = _star_quotients(ind[ranked], deg[ranked].argmax(axis=1))
+    ind = np.unpackbits(words[ranked].view(np.uint8), axis=1, bitorder="little")
+    quotients = _star_quotients(ind.view(bool), deg[ranked].argmax(axis=1))
     for r, cells in zip(ranked.tolist(), quotients):
         for d, h in _homology_dims(cells, p).items():
             if h:
@@ -846,8 +840,8 @@ def _pooled_homology(pool: list, p: int):
         by = np.argsort(row, kind="stable")
         row, facets = row[by], np.concatenate([f for *_, f in pool])[by]
     found = []
-    for lo, ind in _batches(ks, row, facets):
-        hits = np.array(list(_batch_homology(ind, p)), dtype=np.int64).reshape(-1, 3)
+    for lo, words, k in _batches(ks, row, facets):
+        hits = np.array(list(_batch_homology(words, k, p)), dtype=np.int64).reshape(-1, 3)
         hits[:, 0] += lo
         found.append(hits)
     rows, c, h = np.concatenate(found).T

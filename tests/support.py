@@ -26,6 +26,13 @@ independently of the oracle's kernel: the lcm lattice from all nonempty
 generator subsets, the upper Koszul complex K^b from x^b / x^sigma in I,
 and reduced homology from explicit boundary matrices ranked by the public
 gfp_rank.  It is meant for ideals with at most about 10 generators.
+
+The bool kernels are the oracle's face kernels on one boolean per face, a
+(rows, 2^k) array whose column f is the face with vertex bitmask f: the
+downward closure of the facets, the vertex degrees and the critical faces
+of the element matchings, one vertex at a time.  The oracle's bit kernels,
+64 faces to a word, are checked against them; faces_of_words and
+words_of_faces convert between the two layouts.
 """
 
 from __future__ import annotations
@@ -337,6 +344,54 @@ def reduced_homology(faces: set[Face], p: int = 2) -> list[int]:
                 mat[r, index[f[:j] + f[j + 1 :]]] = (-1) ** j
         ranks[g] = gfp_rank(mat, p)
     return [len(groups[g]) - ranks[g] - ranks[g + 1] for g in range(top + 1)]
+
+
+def faces_of_words(words: np.ndarray) -> np.ndarray:
+    """Boolean (rows, 64 * words a row): column f marks face f, bit f % 64 of word f // 64."""
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little").view(bool)
+
+
+def words_of_faces(ind: np.ndarray) -> np.ndarray:
+    """The face indicators ind, (rows, 2^k) booleans, as (rows, max(1, 2^k / 64)) words."""
+    rows, width = ind.shape
+    padded = np.zeros((rows, max(64, width)), dtype=bool)
+    padded[:, :width] = ind
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
+def face_indicators_by_bools(rows: int, row, facets, k: int) -> np.ndarray:
+    """Boolean (rows, 2^k): row r marks every subset of the facets[i] with row[i] == r."""
+    ind = np.zeros((rows, 1 << k), dtype=bool)
+    ind[np.asarray(row, dtype=np.intp), np.asarray(facets, dtype=np.intp)] = True
+    for v in range(k):
+        pairs = ind.reshape(rows, 1 << (k - 1 - v), 2, 1 << v)
+        pairs[:, :, 0] |= pairs[:, :, 1]
+    return ind
+
+
+def vertex_degrees_by_bools(ind: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(deg, faces): faces through each vertex, (rows, k), and all, (rows,)."""
+    f = np.arange(1 << k)
+    deg = np.zeros((ind.shape[0], k), dtype=np.int64)
+    for v in range(k):
+        deg[:, v] = np.count_nonzero(ind[:, f >> v & 1 == 1], axis=1)
+    return deg, np.count_nonzero(ind, axis=1)
+
+
+def critical_counts_by_bools(ind: np.ndarray, k: int) -> np.ndarray:
+    """(rows, k + 1) critical faces by size after the element matchings on v = 0, ..., k - 1."""
+    rows = ind.shape[0]
+    ind = ind.copy()
+    for v in range(k):
+        pairs = ind.reshape(rows, 1 << (k - 1 - v), 2, 1 << v)
+        both = pairs[:, :, 0] & pairs[:, :, 1]
+        pairs[:, :, 0] ^= both
+        pairs[:, :, 1] ^= both
+    sizes = np.array([f.bit_count() for f in range(1 << k)])
+    counts = np.zeros((rows, k + 1), dtype=np.int64)
+    for c in range(k + 1):
+        counts[:, c] = np.count_nonzero(ind[:, sizes == c], axis=1)
+    return counts
 
 
 def lcm_lattice_by_definition(i: MonomialIdeal) -> set[tuple[int, ...]]:

@@ -43,7 +43,10 @@ from pathideal.verify import SweepConfig, run_sweep, sweep_cells
 from support import (
     betti_via_public_route,
     contains,
+    critical_counts_by_bools,
     entry_writes_checked,
+    face_indicators_by_bools,
+    faces_of_words,
     from_faces,
     ideal,
     koszul_by_definition,
@@ -52,6 +55,8 @@ from support import (
     power,
     reduced_homology,
     table_of,
+    vertex_degrees_by_bools,
+    words_of_faces,
 )
 
 
@@ -76,7 +81,7 @@ def koszul_by_fast_path(i: MonomialIdeal, b: Monomial) -> set[tuple[int, ...]]:
     G = np.array([g.exponents for g in i.generators], dtype=np.int64)
     labels = [j + 1 for j, e in enumerate(b.exponents) if e]
     row, facets = _facet_pairs(G, np.array([b.exponents]))
-    ind = _face_indicators(1, row, facets, len(labels))[0]
+    ind = faces_of_words(_face_indicators(1, row, facets, len(labels)))[0]
     return {
         tuple(v for j, v in enumerate(labels) if face >> j & 1)
         for face in np.flatnonzero(ind).tolist()
@@ -359,8 +364,9 @@ def test_face_indicators_close_the_facets_downwards():
         facets[4] = [0] * q  # only the empty face
         row = np.array([r for r in range(rows) for _ in facets[r]])
         flat = np.array([f for fs in facets for f in fs], dtype=np.uint32)
-        ind = _face_indicators(rows, row, flat, k)
-        assert ind.shape == (rows, max(8, 1 << k)) and ind.dtype == bool
+        words = _face_indicators(rows, row, flat, k)
+        assert words.shape == (rows, max(1, (1 << k) // 64)) and words.dtype == "<u8"
+        ind = faces_of_words(words)
         for r in range(rows):
             want = [
                 f < 1 << k and any(f & ~F == 0 for F in facets[r])
@@ -371,22 +377,19 @@ def test_face_indicators_close_the_facets_downwards():
         assert ind[4].tolist() == [True] + [False] * (ind.shape[1] - 1)
     # No pairs at all: every row is void.
     none = _face_indicators(3, np.array([], dtype=np.intp), np.array([], np.uint32), 4)
-    assert none.shape == (3, 16) and not none.any()
+    assert none.shape == (3, 1) and not none.any()
 
 
 # ---------------------------------------------------------------- batched homology
 
 
 def indicators(complexes, k: int) -> np.ndarray:
-    """Face indicators of complexes on vertices 0..k-1, whole words wide.
-
-    Boolean (rows, max(8, 2^k)), as _face_indicators returns them.
-    """
-    ind = np.zeros((len(complexes), max(8, 1 << k)), dtype=bool)
+    """Face indicators of complexes on vertices 0..k-1, as _face_indicators makes them."""
+    ind = np.zeros((len(complexes), 1 << k), dtype=bool)
     for r, faces in enumerate(complexes):
         for f in faces:
             ind[r, sum(1 << v for v in f)] = True
-    return ind
+    return words_of_faces(ind)
 
 
 def rank_spy(monkeypatch) -> list:
@@ -416,7 +419,7 @@ def test_batch_homology_matches_the_reference_on_random_complexes(monkeypatch):
             complexes.append(from_faces((v - 1 for v in f) for f in RP2_TRIANGLES))
         for p in (2, 3):
             got = {}
-            for r, c, h in _batch_homology(indicators(complexes, k), p):
+            for r, c, h in _batch_homology(indicators(complexes, k), k, p):
                 got.setdefault(r, {})[c] = h
             for r, cx in enumerate(complexes):
                 want = {c: h for c, h in enumerate(reduced_homology(cx, p)) if h}
@@ -431,7 +434,7 @@ def test_vertex_degrees_count_the_faces_through_each_vertex():
     for k in (3, 4, 7):
         ind = rng.choices([False, True], k=5 << k)
         ind = np.array(ind, dtype=bool).reshape(5, 1 << k)
-        deg, faces = _vertex_degrees(ind.view("<u8"))
+        deg, faces = _vertex_degrees(words_of_faces(ind), k)
         assert faces.tolist() == np.count_nonzero(ind, axis=1).tolist()
         assert deg.tolist() == [
             [sum(int(ind[r, f]) for f in range(1 << k) if f >> v & 1) for v in range(k)]
@@ -447,12 +450,57 @@ def test_batch_homology_of_cones_and_of_no_rows(monkeypatch):
         from_faces([(0, 1), (1, 2)]),
         from_faces([(0, 1, 2), (0, 3), (0, 4, 5)]),
     ]
-    assert list(_batch_homology(indicators(cones[:1], 1), 2)) == []
-    assert list(_batch_homology(indicators(cones, 6), 2)) == []
+    assert list(_batch_homology(indicators(cones[:1], 1), 1, 2)) == []
+    assert list(_batch_homology(indicators(cones, 6), 6, 2)) == []
     for k in (0, 2, 3, 5):
-        assert list(_batch_homology(indicators([], k), 3)) == []
-    assert _critical_counts(np.zeros((0, 16), dtype=bool)).shape == (0, 5)
+        assert list(_batch_homology(indicators([], k), k, 3)) == []
+    assert _critical_counts(np.zeros((0, 1), dtype="<u8"), 4).shape == (0, 5)
     assert calls == []
+
+
+def test_bit_kernels_match_the_bool_reference_on_random_complexes(monkeypatch):
+    # k < 6 exercises the 64-face floor and the in-word vertices, k > 6 the
+    # vertices 2^(v-6) words apart; RP^2 on the top six vertices is ranked,
+    # through the unpacked closed-star quotient.
+    calls = rank_spy(monkeypatch)
+    rp2 = [[sum(1 << (v - 1) for v in t) for t in RP2_TRIANGLES]]
+    for k in range(11):
+        rng = random.Random(100 + k)
+        facets = [[], [0]]  # the void complex and {empty face}
+        facets += [
+            [sum(1 << v for v in rng.sample(range(k), rng.randint(0, min(k, 4))))
+             for _ in range(rng.randint(1, 2 * k + 1))]
+            for _ in range(40)
+        ]
+        if k >= 6:
+            facets += [[f << (k - 6) for f in fs] for fs in rp2]
+        rows = len(facets)
+        row = np.array([r for r in range(rows) for _ in facets[r]], dtype=np.intp)
+        flat = np.array([f for fs in facets for f in fs], dtype=np.uint32)
+        words = _face_indicators(rows, row, flat, k)
+        ind = faces_of_words(words)
+        want = face_indicators_by_bools(rows, row, flat, k)
+        assert np.array_equal(ind[:, : 1 << k], want) and not ind[:, 1 << k :].any()
+        assert not want[0].any() and want[1].tolist() == [True] + [False] * ((1 << k) - 1)
+        deg, faces = _vertex_degrees(words, k)
+        want_deg, want_faces = vertex_degrees_by_bools(want, k)
+        assert deg.shape == (rows, max(1, k)) and not deg[:, k:].any()
+        assert np.array_equal(deg[:, :k], want_deg) and np.array_equal(faces, want_faces)
+        crit = _critical_counts(words.copy(), k)
+        assert np.array_equal(crit, critical_counts_by_bools(want, k))
+        complexes = [
+            {tuple(v for v in range(k) if f >> v & 1) for f in np.flatnonzero(w).tolist()}
+            for w in want
+        ]
+        for p in (2, 3):
+            got = {}
+            for r, c, h in _batch_homology(words, k, p):
+                got.setdefault(r, {})[c] = h
+            for r, cx in enumerate(complexes):
+                assert got.get(r, {}) == {c: h for c, h in enumerate(reduced_homology(cx, p)) if h}
+            if k >= 6:  # RP^2: H~_1 = H~_2 = GF(2), nothing over GF(3)
+                assert got.get(rows - 1, {}) == ({2: 1, 3: 1} if p == 2 else {})
+    assert calls  # the ranked route ran
 
 
 # ---------------------------------------------------------------- merged batches
@@ -507,17 +555,19 @@ def test_koszul_batches_pad_rows_without_adding_faces(monkeypatch, floor):
     G = np.array([g.exponents for g in i.generators], dtype=np.int64)
     lat = _lcm_lattice_encoded(G, 10**6, prune=True)
     part, ks, row, facets = oracle_mod._koszul_chunk(G, lat, np.count_nonzero(lat, axis=1))
-    batches = [(part[lo : lo + len(ind)], ind)
-               for lo, ind in oracle_mod._batches(ks, row, facets)]
+    batches = [(part[lo : lo + len(words)], words, k)
+               for lo, words, k in oracle_mod._batches(ks, row, facets)]
     assert len(batches) == len(calls)
     # Every row is batched exactly once.
-    rows = np.concatenate([part for part, _ in batches])
+    rows = np.concatenate([part for part, _, _ in batches])
     assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, lat.tolist()))
     mixed = 0
-    for (part, ind), (row, facets, k) in zip(batches, calls):
+    for (part, words, widest), (row, facets, k) in zip(batches, calls):
         sizes = np.count_nonzero(part, axis=1)
         width = max(8, 1 << k)
-        assert int(sizes.max()) == k and ind.shape == (len(part), width)
+        assert int(sizes.max()) == widest == k
+        assert words.shape == (len(part), max(1, (1 << k) // 64))
+        ind = faces_of_words(words)
         # Within the per-k row budget of its widest k ...
         assert len(part) <= max(1, (oracle_mod._CHUNK_BYTES >> 2) // width)
         # ... and mixing sizes only below the floor.
@@ -530,7 +580,7 @@ def test_koszul_batches_pad_rows_without_adding_faces(monkeypatch, floor):
             # No face outside the row's own support, the same faces within it.
             assert not ind[r, 1 << size :].any()
             mine = row == r
-            alone = _face_indicators(1, row[mine] - r, facets[mine], size)[0]
+            alone = faces_of_words(_face_indicators(1, row[mine] - r, facets[mine], size))[0]
             assert ind[r, : 1 << size].tolist() == alone[: 1 << size].tolist()
     assert len(batches) == {"default": 4, 0: 8, "chunk": 1}[floor]
     assert mixed == (floor != 0)
@@ -587,9 +637,9 @@ def test_default_grid_settles_in_141_batches(tmp_path, monkeypatch):
         ideals.extend(given)
         return real_tables(given, *args)
 
-    def homology_spy(ind, p):
-        batches.append(len(ind))
-        return real_homology(ind, p)
+    def homology_spy(words, k, p):
+        batches.append(len(words))
+        return real_homology(words, k, p)
 
     monkeypatch.setattr(verify_mod, "cached_betti_tables", tables_spy)
     monkeypatch.setattr(oracle_mod, "_batch_homology", homology_spy)
