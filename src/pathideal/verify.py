@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from ._version import __version__
-from .cache import BettiCache, cached_betti_table, cached_betti_tables, resolve_cache_dir
+from .cache import BettiCache, cached_betti_tables, resolve_cache_dir
 from .errors import ColonFormMismatchError, PathIdealError, SizeCapExceededError
 from .formulas import (
     linear_resolution_predicate,
@@ -289,19 +289,20 @@ class _CellState:
 
         Memoized by (j, p), so the cache is read at most once per table and
         cell; at s = 1, j is dropped.  A sweep settles its tables ahead of
-        its rows (_settle_tables); the CLI builds each one here, on demand.
+        its rows; one not yet settled, as the CLI's, is settled here alone.
         """
         key = self._table_key(p, j)
-        return self._get(key, lambda: cached_betti_table(
-            self._table_ideal(key), FieldSpec(p), self.cache, self.lattice_cap))
+        if key not in self._memo:
+            _settle_tables([self], [[(p, j)]], self.cache, self.lattice_cap)
+        return self._get(key, None)  # settled: only the error check runs
 
 
 def _settle_tables(states: list[_CellState], wanted: list, cache: BettiCache,
                    lattice_cap: int) -> None:
     """Memoize the tables (p, j) in wanted[i] of states[i], one oracle pass per p.
 
-    A table whose ideal cannot be built is left to the row that reads it,
-    which reports the ideal's error, as it would without this pass.
+    A table whose ideal cannot be built memoizes the ideal's error, the
+    object its _get already holds, and a refused table its cap's error.
     """
     by_char: dict[int, dict] = {}
     for state, tables in zip(states, wanted):
@@ -309,8 +310,8 @@ def _settle_tables(states: list[_CellState], wanted: list, cache: BettiCache,
             key = state._table_key(p, j)
             try:
                 by_char.setdefault(p, {})[state, key] = state._table_ideal(key)
-            except PathIdealError:
-                continue
+            except PathIdealError as exc:
+                state._memo[key] = exc
     for p, ideals in by_char.items():
         found = cached_betti_tables(ideals.values(), FieldSpec(p), cache, lattice_cap)
         for (state, key), table in zip(ideals, found):
@@ -323,12 +324,12 @@ class _Quantity:
 
     name: str
     formula: Any
-    oracle: Callable[[_CellState], Any]
+    oracle: Callable[[Any], Any]
     command: str
     flags: str = ""
     report_only: bool = False
-    # (p, j) of the table the oracle reads, if any: a sweep settles these
-    # before its rows run
+    # (p, j) of the table the oracle is handed, if any, else it is handed the
+    # cell's state; a sweep settles these tables before its rows run
     table: tuple[int, int | None] | None = None
 
 
@@ -343,13 +344,7 @@ def _generators(state: _CellState) -> Any:
     return "a power generator divides another"
 
 
-def _read(p: int, read: Callable[[BettiTable], Any], state: _CellState) -> Any:
-    return read(state.table(p))
-
-
-def _betti(p: int, state: _CellState) -> Any:
-    table = state.table(p)
-    d = state.s * state.t
+def _betti(d: int, table: BettiTable) -> Any:
     off = table.total_degrees - table.index != d
     if off.any():
         stray = zip(table.index[off].tolist(), table.total_degrees[off].tolist())
@@ -415,10 +410,6 @@ def _colon_lemma(state: _CellState) -> bool:
                          np.concatenate([rows for _, rows in products]))
 
 
-def _augmented(p: int, j: int, state: _CellState) -> int:
-    return state.table(p, j).quotient_regularity()
-
-
 def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]:
     """The quantities checked on cell (n, t, s), in the order they are run.
 
@@ -430,18 +421,17 @@ def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]
     for p in cfg.chars:
         at = "" if p == cfg.chars[0] else f"@p{p}"
         char = f"--char {p}"
-        reg = partial(_read, p, BettiTable.quotient_regularity)
-        linear = partial(_read, p, BettiTable.is_linear)
         table = (p, None)
-        yield _Quantity(f"reg{at}", reg_power(n, t, s), reg, "reg", char, table=table)
+        yield _Quantity(f"reg{at}", reg_power(n, t, s), BettiTable.quotient_regularity,
+                        "reg", char, table=table)
         yield _Quantity(f"linear_resolution{at}", linear_resolution_predicate(n, t),
-                        linear, "betti", char, table=table)
+                        BettiTable.is_linear, "betti", char, table=table)
         if overlap:
             betti = [betti_closed_form(n, t, s, i) for i in range(min(n - t, s) + 1)]
-            pd = partial(_read, p, BettiTable.quotient_projective_dimension)
-            yield _Quantity(f"betti{at}", betti, partial(_betti, p), "betti", char,
+            yield _Quantity(f"betti{at}", betti, partial(_betti, s * t), "betti", char,
                             table=table)
-            yield _Quantity(f"pd{at}", pd_closed_form(n, t, s), pd, "betti", char,
+            yield _Quantity(f"pd{at}", pd_closed_form(n, t, s),
+                            BettiTable.quotient_projective_dimension, "betti", char,
                             table=table)
     if overlap:
         census = [s_k_closed_form(n, t, s, k) for k in range(1, n - t + 1)]
@@ -463,17 +453,18 @@ def _quantities(cfg: SweepConfig, n: int, t: int, s: int) -> Iterator[_Quantity]
             yield _Quantity(
                 f"reg_augmented_j{j}",
                 reg_power(n, t, s) if overlap else reg_power_augmented(n, t, s, j),
-                partial(_augmented, cfg.chars[0], j), "verify", sweep,
+                BettiTable.quotient_regularity, "verify", sweep,
                 report_only=overlap, table=(cfg.chars[0], j),
             )
 
 
 def _row(state: _CellState, q: _Quantity) -> Row:
-    """Run one quantity's oracle on the cell and judge it against the formula."""
+    """Run one quantity's oracle on its table or the cell; judge it against the formula."""
     n, t, s = state.n, state.t, state.s
     t0 = time.perf_counter()
     try:
-        status, oracle = "pass", q.oracle(state)
+        arg = state if q.table is None else state.table(*q.table)
+        status, oracle = "pass", q.oracle(arg)
     except SizeCapExceededError as exc:
         status, oracle = "skipped", None
         log.info("cell (%d,%d,%d) %s skipped: %s", n, t, s, q.name, exc)

@@ -15,7 +15,6 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,7 +33,7 @@ from pathideal.cache import (
 )
 from pathideal.cli import _sweep_config, build_parser, main
 from pathideal.errors import ColonFormMismatchError, PathIdealError, SizeCapExceededError
-from pathideal.monomials import Monomial, minimalize
+from pathideal.monomials import POWER_PRODUCT_CAP, Monomial, minimalize
 from pathideal.oracle import DEFAULT_LATTICE_CAP, GF2, FieldSpec, betti_table
 from pathideal.path_ideals import composition_count
 from pathideal.verify import (
@@ -405,7 +404,7 @@ def test_each_quantity_names_the_table_its_oracle_reads(tmp_path):
         assert any(q.table for q in quantities) and not all(q.table for q in quantities)
         for q in quantities:
             read.clear()
-            q.oracle(state)
+            verify_mod._row(state, q)
             assert read == ([q.table] if q.table else []), (cell, q.name)
 
 
@@ -419,7 +418,6 @@ def test_a_share_settles_its_tables_before_its_rows(tmp_path, monkeypatch):
         return real(ideals, fieldspec, *args)
 
     monkeypatch.setattr(verify_mod, "cached_betti_tables", spy)
-    monkeypatch.setattr(verify_mod, "cached_betti_table", None)  # no table on demand
     cfg = tiny_config(tmp_path / "cache", n_max=5, chars=(2, 3), jobs=1)
     report = run_sweep(cfg)
     # one list per characteristic: I^s of each cell, and the augmented ideals
@@ -428,6 +426,57 @@ def test_a_share_settles_its_tables_before_its_rows(tmp_path, monkeypatch):
     augmented = sum(n - t for n, t, s in cells if s == 2)
     assert calls == [(2, len(cells) + augmented), (3, len(cells))]
     assert report.summary["fail"] == 0
+
+
+def test_the_cli_reads_what_a_sweep_settled(tmp_path, monkeypatch):
+    # The CLI settles its table through the sweep's route, so it finds the
+    # entry a sweep stored under the same key and builds no table.
+    cache = tmp_path / "cache"
+    cfg = SweepConfig(n_max=5, s_max=2, cache_dir=str(cache))
+    report = run_sweep(cfg)
+    stored = sorted(cache.glob("*.pibt"))
+    built, real = [], cache_mod.betti_tables
+    monkeypatch.setattr(cache_mod, "betti_tables",
+                        lambda *args: built.append(args) or real(*args))
+    reg = {(r.n, r.t, r.s): r.oracle for r in report.rows if r.quantity == "reg"}
+    out = tmp_path / "out.json"
+    for n, t, s in sweep_cells(cfg):
+        for command in ("betti", "reg"):
+            argv = [command, "--n", str(n), "--t", str(t), "--power", str(s),
+                    "--cache", str(cache), "--json", str(out)]
+            assert main(argv) == 0, argv
+        assert json.loads(out.read_text(encoding="utf-8"))["oracle"] == reg[n, t, s]
+    assert built == [] and sorted(cache.glob("*.pibt")) == stored
+
+
+def test_a_refused_table_raises_its_error_through_the_one_route(tmp_path, monkeypatch):
+    calls, real = [], verify_mod.cached_betti_tables
+
+    def spy(ideals, *args):
+        calls.append(list(ideals))
+        return real(calls[-1], *args)
+
+    monkeypatch.setattr(verify_mod, "cached_betti_tables", spy)
+    cache = BettiCache(tmp_path / "cache")
+    state = verify_mod._CellState(6, 2, 1, cache, POWER_PRODUCT_CAP, 5)
+    with pytest.raises(SizeCapExceededError) as first:
+        state.table(2)
+    # the refusal is memoized: the same error, and no second oracle pass
+    with pytest.raises(SizeCapExceededError) as again:
+        state.table(2)
+    assert again.value is first.value and len(calls) == 1
+    # a power cap refuses the ideal itself, so every table of the cell
+    # raises the power's error, and the rows that read one are skipped
+    state = verify_mod._CellState(5, 2, 2, cache, 1, DEFAULT_LATTICE_CAP)
+    with pytest.raises(SizeCapExceededError) as power:
+        state.power_ideal()
+    for j in (None, 2):
+        with pytest.raises(SizeCapExceededError) as got:
+            state.table(2, j)
+        assert got.value is power.value
+    cfg = SweepConfig(power_cap=1)
+    reg = next(q for q in verify_mod._quantities(cfg, 5, 2, 2) if q.name == "reg")
+    assert verify_mod._row(state, reg).status == "skipped"
 
 
 def test_sweep_reads_each_table_once_per_cell(tmp_path, monkeypatch):
@@ -553,13 +602,12 @@ def test_betti_row_names_the_entries_off_the_linear_strand():
     # two of them at the same (i, j).
     entries = {(0, (1, 1, 0)): 1, (0, (0, 1, 1)): 1, (1, (1, 1, 1)): 1,
                (1, (2, 1, 1)): 2, (1, (1, 1, 2)): 1, (0, (3, 0, 0)): 1}
-    state = SimpleNamespace(s=1, t=2, table=lambda p: table_of(3, p, entries))
     stray = sorted((i, sum(b)) for (i, b) in entries if sum(b) != i + 2)
     assert stray == [(0, 3), (1, 4), (1, 4)]
-    assert verify_mod._betti(2, state) == f"entries off the linear strand: {stray}"
+    table = table_of(3, 2, entries)
+    assert verify_mod._betti(2, table) == f"entries off the linear strand: {stray}"
     on_strand = {k: r for k, r in entries.items() if sum(k[1]) == k[0] + 2}
-    state.table = lambda p: table_of(3, p, on_strand)
-    assert verify_mod._betti(2, state) == [2, 1]
+    assert verify_mod._betti(2, table_of(3, 2, on_strand)) == [2, 1]
 
 
 def test_cached_betti_tables_settle_the_misses_in_one_call(tmp_path, monkeypatch):
