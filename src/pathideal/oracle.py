@@ -5,10 +5,10 @@ equals the dimension of the (i-1)-st reduced homology of the upper Koszul
 complex K^b(I), whose faces are the squarefree subsets sigma of supp(b) with
 x^b / x^sigma in I.  Only multidegrees in the lcm lattice of the generators
 can contribute, so the oracle closes the generator set under joins with the
-generators and computes homology at every lattice point whose K^b is not a
-full simplex, one of each mirror pair when the reversal of the variables
-fixes the generators, and only the points with b_1 > 0 when translation
-along the path does: the others are their translates.  K^b is built from
+generators, walking only the lattice points whose K^b is not a full simplex,
+and of those one of each mirror pair when the reversal of the variables
+fixes the generators and only those with b_1 > 0 when translation along
+the path does: the others are mirrors and translates.  K^b is built from
 its facets, one per generator dividing x^b.  A batch of complexes is
 settled at once: cones are dropped, the rest are reduced by a sequence of
 element matchings, an acyclic matching, and a complex whose critical faces
@@ -46,10 +46,10 @@ __all__ = [
 ]
 
 # Hard cap on the number of distinct multidegrees visited per ideal.  For
-# lcm_lattice it counts the whole lattice; for betti_table it counts the
-# points its walk keeps, those whose K^b is not a full simplex, and of those
-# only the anchored ones (b_1 > 0) when the generators are closed under
-# translation along the path, as the powers of path ideals are.
+# lcm_lattice it counts the whole lattice; for betti_table the points its
+# walk keeps, those whose K^b is not a full simplex: only the anchored ones
+# (b_1 > 0) when the generators are closed under translation, as the powers
+# of path ideals are, but both of each mirror pair, though one is walked.
 DEFAULT_LATTICE_CAP = 200_000
 
 # Version of the oracle's answers; cached tables from another version are
@@ -65,8 +65,9 @@ _MAX_SUPPORT = 24
 # Chunks of scratch arrays stay within the byte budget _CHUNK_BYTES: lattice
 # and facet chunks take _CHUNK_BYTES // (q * n * 8) multidegrees.  A lattice
 # chunk joins or tests each of its unary codes against the q generator codes,
-# one uint32 or int64 each (more as Python ints, past 63 bits), so it holds
-# at most a 1/n share of the budget.  A facet chunk tests each (multidegree,
+# one uint32 or int64 each (Python ints past 63 bits), a 1/n share of the
+# budget, and a mirror walk spreads the n fields of as many codes at most to
+# reverse them, the whole budget.  A facet chunk tests each (multidegree,
 # generator) on their codes, a code and a flag each.  Each pair of them that
 # divides then holds its row, generator and facet as uint32 and, at any one
 # time, 3n bytes of gathered columns for exponents below 256 (two exponent
@@ -76,14 +77,13 @@ _MAX_SUPPORT = 24
 # which numpy widens to intp as it scatters.  Chunks of several ideals are
 # pooled while their costs, q * n * 8 bytes a row, fit the budget; merging
 # them adds about 30 bytes a pair (a uint32 place, an intp order and the
-# sorted copies).  A batch of face indicators
-# is cut by _batch_rows at _CHUNK_BYTES / 4 bytes, counting max(8, 2^k) bytes
-# a row for its widest support size k.  Its peak is the boolean scratch array
-# its facets are marked in, max(64, 2^k) bytes a row; the words packed from
-# it are 1/8 of that, and the copy of its complexes that are not cones and
-# the scratch words that its closure and homology add are as large again
-# each.  For k >= 6 the scratch array is the count's size, so the batch stays
-# within; a row of k < 6 takes 64 bytes of it against the 8 to 32 counted.
+# sorted copies).  A batch of face indicators peaks in the boolean scratch
+# array its facets are marked in, max(64, 2^k) bytes a row for its widest
+# support size k; the words packed from it are 1/8 of that, and the copy of
+# its complexes that are not cones and the scratch words that its closure
+# and homology add are as large again each.  _batch_rows cuts one support
+# size at _CHUNK_BYTES / 4 bytes of that array; the sizes it merges fit
+# _MERGE_BYTES at max(8, 2^k) bytes a row, so their array is 8x that at most.
 
 # Support sizes whose face indicators, padded to the widest of them, fit in
 # _MERGE_BYTES share one batch.  Every batch costs about 0.2 ms of numpy
@@ -300,7 +300,7 @@ def _batch_rows(ks: np.ndarray):
     ks holds the support size of each row, in ascending order.  Consecutive
     sizes share a batch while its rows, each max(8, 2^k) bytes at its
     widest k, fit in _MERGE_BYTES.  A size whose rows alone do not fit is
-    cut into batches of its own, of at most _CHUNK_BYTES / 4 bytes each.
+    cut into batches of its own, _CHUNK_BYTES / 4 at max(64, 2^k) a row.
     """
     floor = min(_MERGE_BYTES, _CHUNK_BYTES >> 2)
     starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
@@ -314,7 +314,7 @@ def _batch_rows(ks: np.ndarray):
         if (hi - lo) * width <= floor:
             held, top = lo if held is None else held, k
             continue
-        per = max(1, (_CHUNK_BYTES >> 2) // width)
+        per = max(1, (_CHUNK_BYTES >> 2) // max(64, width))
         for at in range(lo, hi, per):
             yield at, min(at + per, hi), k
     if held is not None:
@@ -504,9 +504,8 @@ def _not_full(codes: np.ndarray, gens: np.ndarray, low, step: int) -> np.ndarray
     return codes[keep]
 
 
-def _lcm_lattice_encoded(
-    G: np.ndarray, cap: int, prune: bool = False, anchored: bool = False
-) -> np.ndarray:
+def _lcm_lattice_encoded(G: np.ndarray, cap: int, prune: bool = False,
+                         anchored: bool = False, mirror: bool = False) -> np.ndarray:
     """The lcm lattice of the generator rows of G, as rows in lex order.
 
     Rows are coded in unary (_unary_codes): field j holds b_j low set bits,
@@ -530,7 +529,16 @@ def _lcm_lattice_encoded(
     some such g, and every point on that chain has b_1 > 0 and lies below
     its end, so with prune too the up-set argument holds as before.
 
-    On either walk the cap counts the points kept, the starting ones too.
+    With mirror (the reversal of the variables fixes the generators), each
+    code met is replaced by the smaller of itself and its mirror before it
+    is deduplicated, so one of each pair is kept; with anchored, the mirror
+    reverses the window b[:m], m the last nonzero position.  The anchored
+    points of span m are closed under joins with the generators of span
+    <= m, which that reversal permutes, and their least ones are the joins
+    g v h, g_1 > 0, h of span m.  So the first round joins every g, g_1 > 0,
+    and each point is reached along the mirrors of its chain.  The cap counts
+    the points kept, the first too, and both of a pair: 2 a code until the
+    count could refuse, when the palindromes are found and count once.
     """
     q, n = G.shape
     w = max(1, int(G.max(initial=0)))
@@ -540,17 +548,34 @@ def _lcm_lattice_encoded(
     ones = code(sum(1 << int(s) for s in shifts))
     gens = _unary_codes(G, w)
     step = max(1, _CHUNK_BYTES // max(1, q * n * 8))
-    seen = _unique(gens[G[:, 0] > 0] if anchored else gens.copy())
+
+    def rev(codes):  # with anchored, times the lowest bit: the window moves up n - m fields
+        fields = codes >> shifts[:, None]
+        fields &= field
+        fields <<= shifts[::-1, None]
+        flipped = fields.sum(axis=0, dtype=shifts.dtype)
+        return flipped * (codes & -codes) if anchored else flipped
+
+    def canon(codes):  # distinct and sorted; with mirror, the smaller of each pair
+        codes = _unique(codes)
+        return _unique(np.minimum(codes, rev(codes))) if mirror else codes
+
+    start = gens[G[:, 0] > 0] if anchored else gens
+    seen = canon(start.copy())
     frontier = _not_full(seen, gens, low, step) if prune else seen
-    kept, count = [frontier], frontier.size
-    while frontier.size:
+    kept, count = [frontier], frontier.size * (1 + mirror)
+    joined = start if anchored and mirror else frontier
+    while joined.size:
+        if count > cap and mirror:  # a chunk of q * step codes at a time
+            count = sum(c.size + int(np.count_nonzero(rev(c) != c)) for k in kept
+                        for c in np.split(k, range(q * step, k.size, q * step)))
         if count > cap:
             raise SizeCapExceededError(
                 f"lcm lattice exceeded cap {cap} (reached {count})", count=count
             )
         fresh = []
-        for lo in range(0, frontier.size, step):
-            codes = _unique(frontier[lo : lo + step, None] | gens)
+        for lo in range(0, joined.size, step):
+            codes = canon(joined[lo : lo + step, None] | gens)
             pos = np.minimum(np.searchsorted(seen, codes), seen.size - 1)
             fresh.append(codes[seen[pos] != codes])
         # One chunk's codes are already distinct and sorted.
@@ -558,9 +583,9 @@ def _lcm_lattice_encoded(
         # A stable sort merges the two sorted runs in linear time.
         seen = np.concatenate((seen, tested))
         seen.sort(kind="stable")
-        frontier = _not_full(tested, gens, low, step) if prune else tested
+        joined = frontier = _not_full(tested, gens, low, step) if prune else tested
         kept.append(frontier)
-        count += frontier.size
+        count += frontier.size * (1 + mirror)
     points = np.sort(np.concatenate(kept))
     # b_j is the number of set bits in field j.  Adding (code >> i) & ones
     # over i < w counts them into the bottom of each field; a count is at
@@ -746,14 +771,6 @@ def _reversed_windows(lat: np.ndarray, span: np.ndarray) -> np.ndarray:
     return lat[np.arange(lat.shape[0])[:, None], np.where(at >= 0, at, j)]
 
 
-def _mirror_half(lat: np.ndarray, span: np.ndarray) -> np.ndarray:
-    """Which rows b of lat have b[:m] <=_lex rev(b[:m]), m = span, palindromes too."""
-    rev = _reversed_windows(lat, span)
-    first = (lat != rev).argmax(axis=1)
-    rows = np.arange(lat.shape[0])
-    return lat[rows, first] <= rev[rows, first]
-
-
 def _big_endian(values: np.ndarray) -> np.ndarray:
     """The values, nonnegative, as big-endian unsigned ints of the narrowest width.
 
@@ -797,19 +814,17 @@ def _write_entries(
 def _walk(ideal: MonomialIdeal, lattice_cap: int):
     """(G, lat, ks, shift, mirror): the points whose complexes are settled.
 
-    lat is the pruned walk, anchored when shift (_shift_closed) holds and
-    halved when mirror does: the reversal of the variables maps the sorted
-    generator rows G onto themselves.  G and lat come in the narrowest type
-    that holds their exponents, in which they compare fastest.  ks holds
-    the support size of each point.  Both caps, the lattice cap and
-    _MAX_SUPPORT, are checked here.
+    lat is the pruned walk, anchored when shift (_shift_closed) holds, and
+    walked one point of each mirror pair when mirror does: the reversal of
+    the variables maps the sorted generator rows G onto themselves.  G and
+    lat come in the narrowest type that holds their exponents, in which
+    they compare fastest.  ks holds the support size of each point.  Both
+    caps, the lattice cap and _MAX_SUPPORT, are checked here.
     """
     G = ideal.exponents
     shift = _shift_closed(G)
-    lat = _lcm_lattice_encoded(G, lattice_cap, prune=True, anchored=shift)
     mirror = ideal.ambient > 1 and np.array_equal(G[np.lexsort(G.T), ::-1], G)
-    if mirror:
-        lat = lat[_mirror_half(lat, _spans(lat, shift))]
+    lat = _lcm_lattice_encoded(G, lattice_cap, prune=True, anchored=shift, mirror=mirror)
     small = np.min_scalar_type(max(int(G.max(initial=0)), int(lat.max(initial=0))))
     lat = lat.astype(small)
     ks = np.count_nonzero(lat, axis=1)
@@ -876,8 +891,8 @@ def betti_tables(
     window b[:m], m the last nonzero position, fits.  When the reversal
     x_i -> x_{n+1-i} fixes the generators, it maps K^b onto K^{rev b}, so
     beta_{i,b} = beta_{i,rev b}; with translation, beta_{i,b} equals the
-    beta of the reversed window rev(b[:m]).  Then one of each pair is
-    computed, within the window.
+    beta of the reversed window rev(b[:m]).  Then the walk keeps one of
+    each pair, within the window, and only it is computed.
 
     Each ideal walks its own lattice, under its own caps, and finds its own
     facet pairs a chunk at a time (_koszul_chunk).  beta_{i,b} depends on

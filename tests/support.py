@@ -20,6 +20,9 @@ table_of builds a BettiTable from an {(i, b): rank} mapping.  The entry
 loop writes the walked entries of a table one translate and mirror image at
 a time, as the reference for the oracle's broadcast write
 (entry_writes_checked compares the two on every table built inside it).
+mirror_half_by_definition picks the lex-smaller point of each mirror pair
+from the rows of a walk that kept both, as the reference for the walk that
+keeps one.
 
 The reference route computes Betti numbers from the definitions,
 independently of the oracle's kernel: the lcm lattice from all nonempty
@@ -446,6 +449,14 @@ def write_entries_by_loop(n, p, points, index, ranks, shift, mirror) -> BettiTab
             for at in range(n - m + 1):
                 entries[(i, (0,) * at + w + (0,) * (n - m - at))] = h
     return table_of(n, p, entries)
+
+
+def mirror_half_by_definition(lat: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Which rows b of lat have b[:m] <=_lex rev(b[:m]), m = span, palindromes too."""
+    rev = oracle_mod._reversed_windows(lat, span)
+    first = (lat != rev).argmax(axis=1)
+    rows = np.arange(lat.shape[0])
+    return lat[rows, first] <= rev[rows, first]
 
 
 @contextmanager

@@ -52,6 +52,7 @@ from support import (
     koszul_by_definition,
     lcm_lattice_by_definition,
     m,
+    mirror_half_by_definition,
     power,
     reduced_homology,
     table_of,
@@ -119,6 +120,26 @@ def random_ideal(rng: random.Random, ambient: int, top: int, count: int) -> Mono
         i = minimalize([Monomial(tuple(r)) for r in rows], ambient=ambient)
         if max(max(g.exponents) for g in i.generators) == top:
             return i
+
+
+def symmetric_ideal(rng: random.Random, ambient: int, top: int, count: int,
+                    shift: bool, mirror: bool) -> MonomialIdeal:
+    """count random exponent patterns with nonzero ends, entries at most top.
+
+    Each is placed at every offset it fits when shift, else at one random
+    offset, and each placement is reversed too when mirror: the generator
+    set is then closed under translation, reversal or both.
+    """
+    rows = []
+    for _ in range(count):
+        width = rng.randint(1, ambient)
+        ends = [rng.randint(1, top) for _ in range(min(width, 2))]
+        pattern = ends[:1] + [rng.randint(0, top) for _ in range(width - 2)] + ends[1:]
+        fits = ambient - width
+        for at in range(fits + 1) if shift else [rng.randint(0, fits)]:
+            row = (0,) * at + tuple(pattern) + (0,) * (fits - at)
+            rows += [row, row[::-1]] if mirror else [row]
+    return minimalize([Monomial(r) for r in rows], ambient=ambient)
 
 
 # ---------------------------------------------------------------- ranks
@@ -530,6 +551,16 @@ def test_batch_rows_merge_small_sizes_and_cut_large_ones(monkeypatch):
     assert list(oracle_mod._batch_rows(ks[:0])) == []
 
 
+def test_batch_rows_cut_small_supports_at_their_scratch_array():
+    # _face_indicators marks the facets of a row in max(64, 2^k) bytes, so a
+    # run of one support size k <= 3 is cut at that many bytes a row, not 2^k.
+    ks = np.full(600_000, 3)
+    batches = list(oracle_mod._batch_rows(ks))
+    assert [lo for lo, _, _ in batches] == [0] + [hi for _, hi, _ in batches[:-1]]
+    assert batches[-1][1] == ks.size and {k for _, _, k in batches} == {3}
+    assert max(hi - lo for lo, hi, _ in batches) * 64 <= oracle_mod._CHUNK_BYTES // 4
+
+
 def face_indicator_spy(monkeypatch) -> list:
     """Record (row, facets, k) of every _face_indicators call."""
     calls = []
@@ -878,6 +909,20 @@ def test_pruned_walk_tests_each_code_once(monkeypatch):
         assert len(tested) == len(set(tested))
         # Some points were dropped as full simplices, and every kept one was tested.
         assert len(calls) > 2 and len(lat) < len(tested)
+    # The mirror walk tests the smaller code of each pair, once.
+    for i, anchored in [(power(8, 2, 4), True), (power(6, 2, 3), False)]:
+        n, w = i.ambient, int(i.exponents.max())
+        tested = []
+        for mirror in (False, True):
+            calls.clear()
+            lat = _lcm_lattice_encoded(i.exponents, 10**6, prune=True, anchored=anchored,
+                                       mirror=mirror)
+            tested.append([c for codes in calls for c in codes])
+        half = tested[1]
+        assert len(half) == len(set(half)) and len(lat) < len(half) < len(tested[0])
+        rows = np.array([[(c >> w * (n - 1 - j) & (1 << w) - 1).bit_count() for j in range(n)]
+                         for c in half])
+        assert mirror_half_by_definition(rows, oracle_mod._spans(rows, anchored)).all()
 
 
 def test_walk_cap_counts_kept_points_only(monkeypatch):
@@ -892,6 +937,45 @@ def test_walk_cap_counts_kept_points_only(monkeypatch):
     with pytest.raises(SizeCapExceededError, match=f"cap {kept - 1} ") as refused:
         betti_table(i, lattice_cap=kept - 1)
     assert refused.value.count == kept
+
+
+def walks_with_and_without_mirror(i: MonomialIdeal) -> tuple:
+    """(lat, full, shift, mirror): _walk's points and the walk that keeps both of a pair."""
+    _, lat, _, shift, mirror = oracle_mod._walk(i, 10**6)
+    full = _lcm_lattice_encoded(i.exponents, 10**6, prune=True, anchored=shift)
+    return lat, full, shift, mirror
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mirror_walk_keeps_the_smaller_point_of_each_pair(seed):
+    # Random generator sets of each (translation, reversal) kind: the walk
+    # that keeps one point of each pair keeps exactly the rows that the
+    # reference picks from the walk that keeps both, and the cap counts both.
+    rng = random.Random(seed)
+    kinds = Counter()
+    for k in range(100):
+        i = symmetric_ideal(rng, rng.randint(2, 7), rng.randint(1, 3), rng.randint(1, 3),
+                            shift=k % 2 == 0, mirror=k % 4 < 2)
+        lat, full, shift, mirror = walks_with_and_without_mirror(i)
+        kinds[shift, mirror] += 1
+        if mirror:
+            with pytest.raises(SizeCapExceededError) as refused:
+                oracle_mod._walk(i, len(full) - 1)
+            assert refused.value.count == len(full)
+            full = full[mirror_half_by_definition(full, oracle_mod._spans(full, shift))]
+        assert np.array_equal(lat, full)
+    assert len(kinds) == 4
+
+
+@pytest.mark.parametrize("shift, count, seed", [(True, 2, 3), (False, 3, 0)])
+def test_mirror_walk_past_63_bits(shift, count, seed):
+    # n * w >= 64, w = max exponent: the codes, and their mirrors, are Python ints.
+    i = symmetric_ideal(random.Random(seed), 11, 6, count, shift=shift, mirror=True)
+    assert 11 * max(max(g.exponents) for g in i.generators) >= 64
+    lat, full, anchored, mirror = walks_with_and_without_mirror(i)
+    assert (anchored, mirror) == (shift, True) and len(full) > len(lat) > 20
+    keep = mirror_half_by_definition(full, oracle_mod._spans(full, shift))
+    assert np.array_equal(lat, full[keep])
 
 
 def test_unary_walk_matches_the_definition_on_random_ideals():
@@ -1117,6 +1201,26 @@ def test_betti_of_a_path_power_takes_no_rank(monkeypatch):
     table = betti_table(power(10, 2, 2), FieldSpec(3))
     assert len(table.entries) == 947
     assert calls == []
+
+
+def test_default_grid_tables_match_their_pinned_digests(tmp_path, monkeypatch):
+    # Every entry of the grid's 121 tables, not only the rows read from them:
+    # the SHA-256 of each table's to_dict(), keyed by its cache key.
+    pinned = Path(__file__).resolve().parent / "data" / "default_grid_tables.json"
+    got, real = {}, verify_mod.cached_betti_tables
+
+    def spy(ideals, fieldspec, cache, lattice_cap):
+        ideals = list(ideals)
+        tables = real(ideals, fieldspec, cache, lattice_cap)
+        for i, table in zip(ideals, tables):
+            blob = json.dumps(table.to_dict(), sort_keys=True, separators=(",", ":"))
+            key = cache_mod.betti_cache_key(i, fieldspec.characteristic, lattice_cap)
+            got[key] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return tables
+
+    monkeypatch.setattr(verify_mod, "cached_betti_tables", spy)
+    run_sweep(SweepConfig(cache_dir=str(tmp_path / "cache")))
+    assert got == json.loads(pinned.read_text(encoding="utf-8"))
 
 
 def test_betti_matches_the_benchmark_ladder_goldens():

@@ -45,7 +45,7 @@ from pathideal.verify import (
     run_sweep,
     sweep_cells,
 )
-from support import json_cache_key, m, table_of
+from support import json_cache_key, m, power, table_of
 
 EDGE_IDEAL_3 = minimalize([m("x1*x2", 3), m("x2*x3", 3)], ambient=3)
 
@@ -406,6 +406,26 @@ def test_each_quantity_names_the_table_its_oracle_reads(tmp_path):
             read.clear()
             verify_mod._row(state, q)
             assert read == ([q.table] if q.table else []), (cell, q.name)
+
+
+def test_a_p_row_reads_the_table_of_its_own_characteristic(tmp_path, monkeypatch):
+    # Over GF(3) the sweep is handed the tables of I^(s+1) instead of I^s:
+    # the rows that read GF(3) tables fail, and the GF(2) rows do not.
+    real = verify_mod.cached_betti_tables
+
+    def wrong_over_gf3(ideals, fieldspec, *args):
+        ideals = list(ideals)
+        if fieldspec == FieldSpec(3):  # I^s of each cell, t = 2: degree 2s
+            ideals = [power(i.ambient, 2, int(i.exponents[0].sum()) // 2 + 1) for i in ideals]
+        return real(ideals, fieldspec, *args)
+
+    monkeypatch.setattr(verify_mod, "cached_betti_tables", wrong_over_gf3)
+    report = run_sweep(tiny_config(tmp_path / "cache", n_max=5, chars=(2, 3), jobs=1))
+    for name in ("reg", "betti"):
+        mine = [r.status for r in report.rows if r.quantity == name]
+        theirs = [r.status for r in report.rows if r.quantity == f"{name}@p3"]
+        assert len(mine) == len(theirs) > 4
+        assert set(mine) == {"pass"} and set(theirs) == {"fail"}
 
 
 def test_a_share_settles_its_tables_before_its_rows(tmp_path, monkeypatch):
