@@ -14,7 +14,6 @@ import io
 import json
 import logging
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Any, Callable, Iterator
@@ -533,11 +532,14 @@ def _share_rows(cfg: SweepConfig, cells: list) -> tuple[list[Row], int]:
 def run_sweep(cfg: SweepConfig) -> VerificationReport:
     """Run every cell of the grid and assemble the deterministic report.
 
-    The grid is dealt into shares (_shares), one per worker process.
+    The grid is dealt into shares (_shares), one per worker process. A
+    single share runs in this process, so the process pool's modules are
+    imported only when a sweep first deals two or more shares.
     """
     shares = _shares(cfg, sweep_cells(cfg))
     share_rows = partial(_share_rows, cfg)
     if len(shares) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(shares)) as pool:
             parts = list(pool.map(share_rows, shares))
     else:

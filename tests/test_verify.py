@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -361,12 +362,36 @@ def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify_mod, "ProcessPoolExecutor", InProcessPool)
+    # run_sweep imports the pool from concurrent.futures when it forks
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     cfg = tiny_config(tmp_path / "cache", n_max=3, s_max=1, jobs=64)
     assert len(sweep_cells(cfg)) == 2
     report = run_sweep(cfg)
     assert asked == [2]
     assert report.config["jobs"] == 64  # the report keeps what was asked for
+
+
+def test_only_a_forking_sweep_imports_the_process_pool(tmp_path):
+    # A fresh interpreter, since pytest and hypothesis may import
+    # multiprocessing themselves.
+    script = (
+        "import sys, pathideal, pathideal.cli; "
+        "from pathideal import SweepConfig, run_sweep; "
+        "assert pathideal.cli.main(['gens', '--n', '5', '--t', '2']) == 0; "
+        "cfg = SweepConfig(n_max=3, s_max=1, jobs=1, cache_dir=sys.argv[1]); "
+        "serial = run_sweep(cfg).canonical_json(); "
+        "pool = ('multiprocessing', 'concurrent.futures.process'); "
+        "assert not [m for m in pool if m in sys.modules], pool; "
+        "cfg = SweepConfig(n_max=3, s_max=1, jobs=2, cache_dir=sys.argv[2]); "
+        "assert run_sweep(cfg).canonical_json() == serial; "
+        "assert all(m in sys.modules for m in pool)"
+    )
+    src = str(Path(verify_mod.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "c1"),
+                           str(tmp_path / "c2")], capture_output=True, text=True,
+                          timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def share_cost(cfg: SweepConfig, cell) -> int:
