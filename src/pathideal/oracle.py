@@ -276,7 +276,7 @@ def _face_indicators(
     downwards one vertex v at a time: for v < 6 the face sigma + v is in
     the word of sigma, 2^v bits higher; for larger v it is 2^(v-6) words
     further on.  The flat index is uint32, so a batch holds fewer than 2^32
-    faces; _batches' hold 2^25 at most.
+    faces; _batch_rows' batches hold 2^25 at most.
     """
     width = max(64, 1 << k)
     ind = np.zeros((rows, width), dtype=bool)
@@ -319,32 +319,6 @@ def _batch_rows(ks: np.ndarray):
             yield at, min(at + per, hi), k
     if held is not None:
         yield held, ks.size, top
-
-
-def _koszul_chunk(G: np.ndarray, lat: np.ndarray, ks: np.ndarray):
-    """(part, ks, row, facets): the rows of lat by support size, with their facet pairs.
-
-    ks holds the support size of each row of lat; the rows are sorted by
-    it, stably, and so are the sizes returned.
-    """
-    order = np.argsort(ks, kind="stable")
-    part = lat[order]
-    return (part, ks[order], *_facet_pairs(G, part))
-
-
-def _batches(ks: np.ndarray, row: np.ndarray, facets: np.ndarray):
-    """Yield (lo, words, k): face indicators of K^b for the rows lo, lo + 1, ...
-
-    ks are the rows' support sizes, in ascending order, and (row, facets)
-    their facet pairs in row order, so that a batch (_batch_rows) is a
-    slice of both.  A batch is padded to its widest support size k.  The
-    vertices above a row's own support lie in no face, so they are never a
-    cone point, never matched and never critical, and the batch settles
-    each complex as one of its own size would.
-    """
-    for lo, hi, k in _batch_rows(ks):
-        i, j = np.searchsorted(row, (lo, hi))
-        yield lo, _face_indicators(hi - lo, row[i:j] - lo, facets[i:j], k), k
 
 
 def _vertex_degrees(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -423,32 +397,32 @@ def _star_quotients(ind: np.ndarray, star: np.ndarray):
         yield rest[~ind[r, rest | bit]].tolist()
 
 
-def _batch_homology(words: np.ndarray, k: int, p: int):
-    """Yield (r, c, h) for each row r of words and each h = dim H~_{c-1}(K) > 0.
+def _batch_homology(words: np.ndarray, k: int, p: int) -> np.ndarray:
+    """(m, 3) int64 rows (r, c, h): dim H~_{c-1}(K) = h > 0 for row r of words.
 
     words is a batch of face indicators on k vertices (_face_indicators).
     A complex is a cone, and contributes nothing, when |K| = 2 max deg v.
-    The others are matched (_critical_counts).  When the critical faces all
-    have c vertices, the Morse complex has zero differential, so their
-    number is dim H~_{c-1} and no rank is taken.  Complexes with critical
-    faces of two or more sizes are unpacked to one boolean per face and
-    ranked on the closed-star quotient of their vertex of largest degree.
+    This filter only saves work: each element matching keeps the unmatched
+    faces of a cone closed under adding and removing its apex a, so the
+    matching on a pairs every face that is left.  The others are matched
+    (_critical_counts).  When the critical faces all have c vertices, the
+    Morse complex has zero differential, so their number is dim H~_{c-1}
+    and no rank is taken.  Complexes with critical faces of two or more
+    sizes are unpacked to one boolean per face and ranked on the
+    closed-star quotient of their vertex of largest degree.
     """
     deg, faces = _vertex_degrees(words, k)
     live = np.flatnonzero(faces > 2 * deg.max(axis=1))
     crit = _critical_counts(words[live], k)
     dims = np.count_nonzero(crit, axis=1)
-    single = crit[dims == 1]
-    yield from zip(
-        live[dims == 1].tolist(), single.argmax(axis=1).tolist(), single.max(axis=1).tolist()
-    )
+    one = dims == 1
+    single = np.column_stack((live[one], crit[one].argmax(axis=1), crit[one].max(axis=1)))
     ranked = live[dims > 1]
     ind = np.unpackbits(words[ranked].view(np.uint8), axis=1, bitorder="little")
     quotients = _star_quotients(ind.view(bool), deg[ranked].argmax(axis=1))
-    for r, cells in zip(ranked.tolist(), quotients):
-        for d, h in _homology_dims(cells, p).items():
-            if h:
-                yield r, d + 1, h
+    hits = [(r, d + 1, h) for r, cells in zip(ranked.tolist(), quotients)
+            for d, h in _homology_dims(cells, p).items() if h]
+    return np.concatenate((single, np.array(hits, dtype=np.int64).reshape(-1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -832,14 +806,18 @@ def _walk(ideal: MonomialIdeal, lattice_cap: int):
     return G.astype(small), lat, ks, shift, mirror
 
 
-def _pooled_homology(pool: list, p: int):
-    """Yield (j, rows, c, h): dim H~_{c-1} K^b = h > 0 at those rows of chunk pool[j].
+def _pooled_homology(pool: list, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, c, h): dim H~_{c-1} K^b = h > 0 at pool row b, one item per class.
 
-    pool holds chunks (part, ks, row, facets) of any ideals.  A pool of one
-    chunk is batched as it is; the rows of several are merged by support
-    size first, stably, and their facet pairs follow their rows.  K^b is
-    built from the facets alone, so a batch settles the complexes of
-    several ideals at once.  rows, c and h are arrays, one item per class.
+    pool holds chunks (part, ks, row, facets) of any ideals, each sorted by
+    support size ks, with its facet pairs (_facet_pairs); the pool's rows
+    are its chunks' rows one after another, and the classes of each chunk
+    come together, chunk after chunk.  The rows of several chunks are
+    merged by support size first, stably, and their facet pairs follow
+    their rows: K^b is built from the facets alone.  A batch (_batch_rows)
+    is a slice of both, padded to its widest support size; the vertices
+    above a row's own support lie in no face, so they are never a cone
+    point, never matched and never critical.
     """
     if len(pool) == 1:
         (_, ks, row, facets), = pool
@@ -855,21 +833,16 @@ def _pooled_homology(pool: list, p: int):
         by = np.argsort(row, kind="stable")
         row, facets = row[by], np.concatenate([f for *_, f in pool])[by]
     found = []
-    for lo, words, k in _batches(ks, row, facets):
-        hits = np.array(list(_batch_homology(words, k, p)), dtype=np.int64).reshape(-1, 3)
+    for lo, hi, k in _batch_rows(ks):
+        i, j = np.searchsorted(row, (lo, hi))
+        hits = _batch_homology(_face_indicators(hi - lo, row[i:j] - lo, facets[i:j], k), k, p)
         hits[:, 0] += lo
         found.append(hits)
-    rows, c, h = np.concatenate(found).T
-    if len(pool) == 1:
-        yield 0, rows, c, h
-        return
-    rows = merged[rows]
-    owner = np.searchsorted(starts, rows, side="right") - 1
-    by = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[by], np.arange(len(pool) + 1))
-    for j in np.flatnonzero(np.diff(bounds)).tolist():
-        mine = by[bounds[j] : bounds[j + 1]]
-        yield j, rows[mine] - starts[j], c[mine], h[mine]
+    hits = np.concatenate(found)
+    if len(pool) > 1:
+        hits[:, 0] = merged[hits[:, 0]]
+        hits = hits[np.argsort(hits[:, 0])]
+    return tuple(hits.T)
 
 
 def betti_tables(
@@ -894,12 +867,13 @@ def betti_tables(
     beta of the reversed window rev(b[:m]).  Then the walk keeps one of
     each pair, within the window, and only it is computed.
 
-    Each ideal walks its own lattice, under its own caps, and finds its own
-    facet pairs a chunk at a time (_koszul_chunk).  beta_{i,b} depends on
-    K^b alone, so the chunks of consecutive ideals are pooled while their
-    costs fit _CHUNK_BYTES, and each pool is settled in batches by element
-    matchings (_pooled_homology); a rank is taken only for the complexes
-    whose critical faces have two or more sizes.
+    Each ideal walks its own lattice, under its own caps, sorted by support
+    size once, and finds its facet pairs a chunk at a time; a walk of no
+    generators writes the empty table.  beta_{i,b} depends on K^b alone, so
+    the chunks of consecutive ideals are pooled while their costs fit
+    _CHUNK_BYTES, and each pool is settled in batches by element matchings
+    (_pooled_homology); a rank is taken only for the complexes whose
+    critical faces have two or more sizes.
     """
     p = fieldspec.characteristic
     ideals = list(ideals)
@@ -910,17 +884,16 @@ def betti_tables(
     none = np.zeros(0, dtype=np.int64)
 
     def settle():
-        for j, rows, c, h in _pooled_homology(pool, p):
-            for entries, new in zip(found[owners[j]], (pool[j][0][rows], c, h)):
+        rows, c, h = _pooled_homology(pool, p)
+        starts = np.cumsum([0] + [len(part) for part, *_ in pool])
+        classes = np.split(np.arange(rows.size), np.searchsorted(rows, starts[1:-1]))
+        for (part, *_), slot, start, mine in zip(pool, owners, starts, classes):
+            for entries, new in zip(found[slot], (part[rows[mine] - start], c[mine], h[mine])):
                 entries.append(new)
         pool.clear()
         owners.clear()
 
     for slot, ideal in enumerate(ideals):
-        n = ideal.ambient
-        if ideal.is_zero():
-            tables[slot] = BettiTable(n, p, (), (), ())
-            continue
         try:
             G, lat, ks, shift, mirror = _walk(ideal, lattice_cap)
         except SizeCapExceededError as exc:
@@ -928,7 +901,10 @@ def betti_tables(
             tables[slot] = exc.with_traceback(None)
             continue
         walks[slot] = shift, mirror
-        found[slot] = ([np.zeros((0, n), dtype=np.int64)], [none], [none])
+        found[slot] = ([np.zeros((0, ideal.ambient), dtype=np.int64)], [none], [none])
+        # Every chunk of a walk sorted by support size is sorted too.  ks is
+        # sorted on its own, so that no order array lives through the chunks.
+        lat, ks = lat[np.argsort(ks, kind="stable")], np.sort(ks)
         # A chunk's rows cost q * n * 8 bytes each; a full pool is settled
         # before the next chunk's facet pairs are found.
         row_cost = max(1, G.size * 8)
@@ -938,7 +914,8 @@ def betti_tables(
             if pool and held + cost > _CHUNK_BYTES:
                 settle()
                 held = 0
-            pool.append(_koszul_chunk(G, lat[lo : lo + step], ks[lo : lo + step]))
+            part = lat[lo : lo + step]
+            pool.append((part, ks[lo : lo + step], *_facet_pairs(G, part)))
             owners.append(slot)
             held += cost
     if pool:

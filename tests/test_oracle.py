@@ -479,6 +479,25 @@ def test_batch_homology_of_cones_and_of_no_rows(monkeypatch):
     assert calls == []
 
 
+def test_the_cone_filter_only_saves_work():
+    # _batch_homology drops the cones before matching them; matched, a cone
+    # leaves no critical face, so the filter changes no table.
+    rng = random.Random(30)
+    for k in range(1, 11):
+        facets = []
+        for _ in range(60):
+            apex = 1 << rng.randrange(k)
+            facets.append([apex | sum(1 << v for v in rng.sample(range(k), rng.randint(0, k)))
+                           for _ in range(rng.randint(1, 2 * k))])
+        rows = len(facets)
+        row = np.array([r for r in range(rows) for _ in facets[r]], dtype=np.intp)
+        flat = np.array([f for fs in facets for f in fs], dtype=np.uint32)
+        words = _face_indicators(rows, row, flat, k)
+        deg, faces = _vertex_degrees(words, k)
+        assert (faces == 2 * deg.max(axis=1)).all()  # each is a cone to the filter
+        assert not _critical_counts(words, k).any()
+
+
 def test_bit_kernels_match_the_bool_reference_on_random_complexes(monkeypatch):
     # k < 6 exercises the 64-face floor and the in-word vertices, k > 6 the
     # vertices 2^(v-6) words apart; RP^2 on the top six vertices is ranked,
@@ -585,10 +604,14 @@ def test_koszul_batches_pad_rows_without_adding_faces(monkeypatch, floor):
     i = power(9, 2, 2)
     G = np.array([g.exponents for g in i.generators], dtype=np.int64)
     lat = _lcm_lattice_encoded(G, 10**6, prune=True)
-    part, ks, row, facets = oracle_mod._koszul_chunk(G, lat, np.count_nonzero(lat, axis=1))
-    batches = [(part[lo : lo + len(words)], words, k)
-               for lo, words, k in oracle_mod._batches(ks, row, facets)]
-    assert len(batches) == len(calls)
+    ks = np.count_nonzero(lat, axis=1)
+    order = np.argsort(ks, kind="stable")  # sorted by support, as betti_tables sorts a walk
+    lat, ks = lat[order], ks[order]
+    oracle_mod._pooled_homology([(lat, ks, *_facet_pairs(G, lat))], 2)
+    spans = list(oracle_mod._batch_rows(ks))
+    assert len(spans) == len(calls)
+    batches = [(lat[lo:hi], _face_indicators(hi - lo, row, facets, k), widest)
+               for (lo, hi, widest), (row, facets, k) in zip(spans, calls)]
     # Every row is batched exactly once.
     rows = np.concatenate([part for part, _, _ in batches])
     assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, lat.tolist()))
@@ -717,20 +740,19 @@ def test_betti_tables_match_each_ideal_alone_on_the_default_grid():
 def chunk_owners(monkeypatch) -> list[set]:
     """Spy: the set of ideals, numbered in walk order, of each pool's chunks."""
     gens, owner, pools = [], {}, []  # gens keeps each G alive, so its id stays its own
-    real_chunk, real_pool = oracle_mod._koszul_chunk, oracle_mod._pooled_homology
+    real_pairs, real_pool = oracle_mod._facet_pairs, oracle_mod._pooled_homology
 
-    def chunk(G, lat, ks):
+    def pairs(G, part):  # part is the chunk's rows, which the pool holds
         if not any(G is seen for seen in gens):
             gens.append(G)
-        made = real_chunk(G, lat, ks)
-        owner[id(made[0])] = next(at for at, seen in enumerate(gens) if G is seen)
-        return made
+        owner[id(part)] = next(at for at, seen in enumerate(gens) if G is seen)
+        return real_pairs(G, part)
 
     def pooled(pool, p):
         pools.append({owner[id(part)] for part, *_ in pool})
         return real_pool(pool, p)
 
-    monkeypatch.setattr(oracle_mod, "_koszul_chunk", chunk)
+    monkeypatch.setattr(oracle_mod, "_facet_pairs", pairs)
     monkeypatch.setattr(oracle_mod, "_pooled_homology", pooled)
     return pools
 
@@ -1088,6 +1110,19 @@ def test_betti_zero_ideal():
         table.max_index()
 
 
+def test_betti_tables_of_the_zero_ideal_alone_and_pooled():
+    # No generators: the walk is empty and writes the empty table.
+    others = [power(5, 2, 2), ideal(["x1*x2", "x2*x3^2"], 3)]
+    for ambient in (0, 1, 5):
+        zero = MonomialIdeal(ambient, ())
+        for p in (2, 3):
+            empty = oracle_mod.BettiTable(ambient, p, (), (), ())
+            alone, = betti_tables([zero], FieldSpec(p))
+            first, pooled, last = betti_tables([others[0], zero, others[1]], FieldSpec(p))
+            assert alone == pooled == empty and pooled.degrees.shape == (0, ambient)
+            assert [first, last] == [betti_table(i, FieldSpec(p)) for i in others]
+
+
 def test_betti_row_zero_matches_generators():
     for i in [power(5, 3, 2), power(4, 2, 2), ideal(["x1^2", "x2^3", "x1*x2"], 2)]:
         got = {b for (idx, b) in betti_table(i).entries if idx == 0}
@@ -1139,13 +1174,13 @@ def translates(w: tuple[int, ...], ambient: int) -> set[tuple[int, ...]]:
 
 def test_betti_computes_one_of_each_mirror_pair(monkeypatch):
     visited = []
-    real = oracle_mod._koszul_chunk
+    real = oracle_mod._facet_pairs
 
-    def spy(G, lat, ks):
+    def spy(G, lat):
         visited.extend(tuple(b) for b in lat.tolist())
-        return real(G, lat, ks)
+        return real(G, lat)
 
-    monkeypatch.setattr(oracle_mod, "_koszul_chunk", spy)
+    monkeypatch.setattr(oracle_mod, "_facet_pairs", spy)
     # Path powers are fixed by translation and by the reversal: only points
     # with b_1 > 0 are computed, one of each mirror pair of windows b[:m],
     # m the last nonzero position.  Palindromic windows are computed once
